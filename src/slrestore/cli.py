@@ -7,6 +7,7 @@ error, 3 numerical failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -57,6 +58,9 @@ def _load_job(path: str, command: str) -> dict:
         raise ValidationError(f"cli: malformed job JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise ValidationError("cli: job file must contain a JSON object")
+    _check_finite(job, "job")
+    if "gamma" in job and "gamma_range" in job:
+        raise ValidationError("cli: exactly one of gamma / gamma_range is required")
     declared = job.get("command")
     if declared is not None and declared != command:
         raise ValidationError(
@@ -65,30 +69,48 @@ def _load_job(path: str, command: str) -> dict:
     return job
 
 
+def _check_finite(obj, path: str) -> None:
+    """Reject NaN and infinite numbers (json reads NaN, Infinity and 1e999)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValidationError(f"cli: {path}: non-finite number {obj!r}")
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        _check_finite(value, f"{path}.{key}")
+
+
+@contextlib.contextmanager
+def _field(name: str):
+    """Report a missing key or a value of the wrong type in job[name] as exit 2."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"cli: {name}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cli: {name}: {exc}") from exc
+
+
 def _job_gamma(job: dict) -> float:
-    if ("gamma" in job) == ("gamma_range" in job):
-        raise ValidationError("cli: exactly one of gamma / gamma_range is required")
-    return float(job["gamma"])
+    with _field("gamma"):
+        return float(job["gamma"])
 
 
 def _job_gammas(job: dict) -> list:
-    if ("gamma" in job) == ("gamma_range" in job):
-        raise ValidationError("cli: exactly one of gamma / gamma_range is required")
-    lo, hi, n = job["gamma_range"]
-    return [float(g) for g in np.linspace(float(lo), float(hi), int(n))]
+    with _field("gamma_range"):
+        lo, hi, n = job["gamma_range"]
+        return [float(g) for g in np.linspace(float(lo), float(hi), int(n))]
 
 
 def _job_measure(job: dict):
-    if "measure" not in job:
-        raise ValidationError("cli: job is missing the 'measure' object")
-    return measure_from_json(job["measure"])
+    with _field("measure"):
+        return measure_from_json(job["measure"])
 
 
 def _job_potential(job: dict) -> Optional[HalfLinePotential]:
     obj = job.get("potential")
     if obj is None:
         return None
-    try:
+    with _field("potential"):
         q = obj["q"]
         kind = q["kind"]
         if kind == "zero":
@@ -104,28 +126,25 @@ def _job_potential(job: dict) -> Optional[HalfLinePotential]:
                 cutoff=float(q["cutoff"]),
                 q_inf=float(q.get("q_inf", 0.0)))
         raise ValidationError(f"cli: unknown potential kind {kind!r}")
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"cli: bad potential JSON: {exc}") from exc
 
 
 def _job_operator(job: dict) -> Optional[OperatorData]:
     obj = job.get("operator")
     if obj is None:
         return None
-    if "m" not in obj:
-        raise ValidationError("cli: operator data requires at least 'm'")
-    return OperatorData(theta=float(obj.get("theta", -float(obj["m"]))),
-                        m=float(obj["m"]),
-                        c=(None if obj.get("c") is None else float(obj["c"])),
-                        xi=(None if obj.get("xi") is None else float(obj["xi"])))
+    with _field("operator"):  # m is required; the rest may be derived
+        return OperatorData(theta=float(obj.get("theta", -float(obj["m"]))),
+                            m=float(obj["m"]),
+                            c=(None if obj.get("c") is None else float(obj["c"])),
+                            xi=(None if obj.get("xi") is None else float(obj["xi"])))
 
 
 def _job_evaluator(job: dict, potential) -> Optional[WeylEvaluator]:
     if potential is None:
         return None
-    tols = job.get("tolerances", {})
-    return WeylEvaluator(potential=potential,
-                         ode_tol=float(tols.get("ode", 1e-10)))
+    with _field("tolerances"):
+        ode_tol = float(job.get("tolerances", {}).get("ode", 1e-10))
+    return WeylEvaluator(potential=potential, ode_tol=ode_tol)
 
 
 def _sectoriality_cell(sect):
@@ -202,10 +221,10 @@ def _cmd_verify(job: dict) -> bytes:
     potential = _job_potential(job)
     if potential is None:
         raise ValidationError("cli: verify requires a potential for the forward model")
-    tols = job.get("tolerances", {})
+    with _field("tolerances"):
+        tol = float(job.get("tolerances", {}).get("verify", 1e-6))
     report = run_verify(sigma, gamma, potential, operator=_job_operator(job),
-                        evaluator=_job_evaluator(job, potential),
-                        tol=float(tols.get("verify", 1e-6)))
+                        evaluator=_job_evaluator(job, potential), tol=tol)
     return _json_bytes(report.to_json())
 
 
@@ -215,7 +234,8 @@ def _cmd_weyl(job: dict) -> bytes:
         raise ValidationError("cli: weyl requires a potential")
     ev = _job_evaluator(job, potential)
     if "lambdas" in job:
-        lams = [complex(float(p[0]), float(p[1])) for p in job["lambdas"]]
+        with _field("lambdas"):
+            lams = [complex(float(p[0]), float(p[1])) for p in job["lambdas"]]
     else:
         lams = log_polar_grid(n_radius=5, n_angle=4)
     rows = []

@@ -219,8 +219,9 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
                             max_depth: int = 52):
     """Integrate a vectorized callable on [lo, hi] to absolute tolerance tol.
 
-    Dyadic bisection with nested 10/21-point Gauss-Legendre rules; the
-    per-panel error estimate is the difference of the two rules.  Returns
+    Dyadic bisection; each panel applies a 10-point and a 21-point
+    Gauss-Legendre rule.  The two rules are not nested, so a panel costs 31
+    evaluations; its error estimate is the difference of the two.  Returns
     (value, error_estimate); the value is complex iff f is complex-valued.
     """
     width0 = hi - lo

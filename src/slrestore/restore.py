@@ -1,15 +1,22 @@
 """Inverse-problem core: accretivity, sectoriality, and the (h, mu) formulas.
 
 Everything here is exact algebra in the inputs (b, gamma, theta, m, xi).
-The two parameter regimes are the finite 1/t moment (b < inf) and the
-divergent one (b = inf, where theta is forced to -m and the circle data come
-from xi).  Infinite values of b and mu are represented by ``math.inf``.
+All of it reads one real pair (offset, numerator): (theta, (theta + m) b)
+for a finite 1/t moment b, and (-m, xi) for b = inf, where theta is forced
+to -m.  As gamma varies, h = offset + numerator (gamma + i)/(1 + gamma^2)
+traces a circle and mu = offset + numerator/gamma a hyperbola.  The flags
+read the sign of one quadratic, q = gamma^2 + b gamma + 1 (q = gamma for
+b = inf).  The private helpers take gamma as a float or a numpy array, so
+``sweep`` evaluates them over the whole sample at once.  Infinite values of
+b and mu are represented by ``math.inf``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateImaginaryPart,
@@ -69,9 +76,7 @@ class Hyperbola:
     zero_crossing: Optional[float] = None  # gamma with mu = 0, when it exists
 
     def at(self, gamma: float) -> float:
-        if gamma == 0.0:
-            return math.inf
-        return self.offset + self.numerator / gamma
+        return float(_mu(self.offset, self.numerator, gamma))
 
 
 @dataclass(frozen=True)
@@ -105,18 +110,94 @@ class RestoredSystem:
             raise ValidationError(f"restored h={self.h} must have Im h > 0")
 
 
-def _quadratic(b: float, gamma: float) -> float:
-    return gamma * gamma + gamma * b + 1.0
+_KINDS = ("non_accretive", "extremal", "sectorial")  # indexed by sector rank
+
+
+def _b_infinite(b: float) -> bool:
+    """True for b = inf; OutOfRange unless b > 0."""
+    if b <= 0:
+        raise OutOfRange(f"b={b} must be positive (possibly inf)")
+    return math.isinf(b)
+
+
+def _pair(b: float, theta: float, m: float, xi: Optional[float]):
+    """(offset, numerator) with h = offset + numerator (gamma + i)/(1 + gamma^2).
+
+    The pair is (theta, (theta + m) b) for finite b and (-m, xi) for b = inf,
+    where theta is forced to -m.  mu = offset + numerator/gamma follows.
+    """
+    if _b_infinite(b):
+        if xi is None:
+            raise MissingXi("b = inf restoration requires xi = i2/c")
+        if abs(theta + m) > 1e-8 * (1.0 + abs(m)):
+            raise ThetaMismatch(
+                f"b = inf forces theta = -m, got theta={theta}, m={m}"
+            )
+        offset, numerator, name = -m, xi, "xi"
+    else:
+        offset, numerator, name = theta, (theta + m) * b, "(theta + m) * b"
+    if not numerator > 0.0:
+        raise DegenerateImaginaryPart(
+            f"{name} = {numerator} must be > 0 for Im h > 0"
+        )
+    return offset, numerator
+
+
+def _sector(b: float, g):
+    """Rank (index into _KINDS) and angle alpha at gamma (a float or an array).
+
+    The sign of q = gamma^2 + b gamma + 1 (q = gamma for b = inf) decides
+    the kind; alpha = atan(num / q) with num = b (1 for b = inf) is only
+    meaningful where q > 0.
+    """
+    num, q = (1.0, g) if _b_infinite(b) else (b, g * g + g * b + 1.0)
+    with np.errstate(all="ignore"):
+        return (q >= 0.0) * 1 + (q > 0.0), np.arctan(np.divide(num, q))
+
+
+def _sectoriality(rank: int, alpha: float) -> Sectoriality:
+    return Sectoriality(_KINDS[rank], float(alpha) if rank == 2 else None)
+
+
+def _h(offset: float, numerator: float, g):
+    """(Re h, Im h) at gamma (a float or an array); Im h must not underflow."""
+    with np.errstate(all="ignore"):
+        s = 1.0 + g * g
+    x, y = offset + g * numerator / s, numerator / s
+    ok = np.atleast_1d(y > 0.0)
+    if not ok.all():
+        bad = float(np.atleast_1d(g)[~ok][0])
+        raise DegenerateImaginaryPart(
+            f"Im h = {numerator}/(1 + gamma^2) is not > 0 at gamma={bad!r}"
+        )
+    return x, y
+
+
+def _mu(x, y, g):
+    """mu = Re h + Im h / gamma, infinite where gamma = 0."""
+    with np.errstate(all="ignore"):
+        return np.where(g == 0.0, math.inf, x + np.divide(y, g))
+
+
+def _eta(x, y, mu):
+    """Quasi-kernel parameter for h = x + iy; NaN where |mu - x| ~ 0."""
+    with np.errstate(all="ignore"):
+        eta = np.divide(mu * x - (x * x + y * y), mu - x)
+    near = np.abs(mu - x) < 1e-8 * (1.0 + np.abs(mu))
+    return np.where(np.isinf(mu), x, np.where(near, math.nan, eta))
+
+
+def _row(b: float, theta: float, m: float, xi: Optional[float], g):
+    """(offset, numerator, Re h, Im h, mu, rank, alpha) at a float or array gamma."""
+    offset, numerator = _pair(b, theta, m, xi)
+    x, y = _h(offset, numerator, g)
+    return (offset, numerator, x, y, _mu(x, y, g)) + _sector(b, g)
 
 
 def accretivity(b: float, gamma: float) -> Accretivity:
     """Accretivity of the restored operator from b and the free term."""
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    if math.isinf(b):
-        return Accretivity(accretive=(gamma >= 0.0), strict=(gamma > 0.0))
-    q = _quadratic(b, gamma)
-    return Accretivity(accretive=(q >= 0.0), strict=(q > 0.0))
+    rank, _ = _sector(b, float(gamma))
+    return Accretivity(accretive=rank > 0, strict=rank == 2)
 
 
 def gamma_admissible(b: float):
@@ -126,9 +207,7 @@ def gamma_admissible(b: float):
     nature).  For finite b < 2 the whole line qualifies; for b >= 2 the two
     rays meet the boundary roots of gamma^2 + gamma*b + 1 = 0.
     """
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    if math.isinf(b):
+    if _b_infinite(b):
         return [(0.0, math.inf)]
     if b < 2.0:
         return [(-math.inf, math.inf)]
@@ -140,20 +219,7 @@ def gamma_admissible(b: float):
 
 def sectoriality_angle(b: float, gamma: float) -> Sectoriality:
     """Sectoriality angle alpha, or the extremal / non-accretive verdict."""
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    if math.isinf(b):
-        if gamma > 0.0:
-            return Sectoriality("sectorial", math.atan(1.0 / gamma))
-        if gamma == 0.0:
-            return Sectoriality("extremal")
-        return Sectoriality("non_accretive")
-    q = _quadratic(b, gamma)
-    if q > 0.0:
-        return Sectoriality("sectorial", math.atan(b / q))
-    if q == 0.0:
-        return Sectoriality("extremal")
-    return Sectoriality("non_accretive")
+    return _sectoriality(*_sector(b, float(gamma)))
 
 
 def max_sectoriality(b: float):
@@ -163,77 +229,32 @@ def max_sectoriality(b: float):
     return -b / 2.0, math.atan(b / (1.0 - b * b / 4.0))
 
 
-def _check_infinite_case(theta: float, m: float, xi: Optional[float]) -> float:
-    if xi is None:
-        raise MissingXi("b = inf restoration requires xi = i2/c")
-    if xi <= 0.0:
-        raise DegenerateImaginaryPart(f"xi={xi} <= 0 would give Im h <= 0")
-    if abs(theta + m) > 1e-8 * (1.0 + abs(m)):
-        raise ThetaMismatch(
-            f"b = inf forces theta = -m, got theta={theta}, m={m}"
-        )
-    return xi
-
-
 def restore_h(b: float, gamma: float, theta: float, m: float,
               xi: Optional[float] = None) -> complex:
     """Restored boundary parameter h = x + iy."""
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    s = 1.0 + gamma * gamma
-    if math.isinf(b):
-        xi = _check_infinite_case(theta, m, xi)
-        return complex(-m + gamma * xi / s, xi / s)
-    c = (theta + m) * b
-    if c <= 0.0:
-        raise DegenerateImaginaryPart(
-            f"(theta + m) * b = {c} <= 0 would give Im h <= 0"
-        )
-    return complex(theta + gamma * c / s, c / s)
+    return complex(*_h(*_pair(b, theta, m, xi), float(gamma)))
 
 
 def restore_mu(h: complex, gamma: float) -> float:
     """Extension parameter mu = Re h + Im h / gamma; infinite when gamma = 0."""
     if h.imag <= 0:
         raise ValidationError(f"h={h} must have Im h > 0")
-    if gamma == 0.0:
-        return math.inf
-    return h.real + h.imag / gamma
+    return float(_mu(h.real, h.imag, gamma))
 
 
 def h_locus(b: float, theta: float, m: float,
             xi: Optional[float] = None) -> Circle:
     """Circle swept by h as gamma runs over the real line."""
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    if math.isinf(b):
-        xi = _check_infinite_case(theta, m, xi)
-        return Circle(center=complex(-m, xi / 2.0), radius=xi / 2.0,
-                      excluded=complex(-m, 0.0))
-    c = (theta + m) * b
-    if c <= 0.0:
-        raise DegenerateImaginaryPart(
-            f"(theta + m) * b = {c} <= 0: circle degenerates"
-        )
-    return Circle(center=complex(theta, c / 2.0), radius=c / 2.0,
-                  excluded=complex(theta, 0.0))
+    offset, numerator = _pair(b, theta, m, xi)
+    r = numerator / 2.0
+    return Circle(center=complex(offset, r), radius=r,
+                  excluded=complex(offset, 0.0))
 
 
 def mu_locus(b: float, theta: float, m: float,
              xi: Optional[float] = None) -> Hyperbola:
     """Hyperbola swept by mu as gamma varies."""
-    if b <= 0:
-        raise OutOfRange(f"b={b} must be positive (possibly inf)")
-    if math.isinf(b):
-        xi = _check_infinite_case(theta, m, xi)
-        offset, numerator = -m, xi
-    else:
-        c = (theta + m) * b
-        if c <= 0.0:
-            raise DegenerateImaginaryPart(
-                f"(theta + m) * b = {c} <= 0: locus degenerates"
-            )
-        offset, numerator = theta, c
+    offset, numerator = _pair(b, theta, m, xi)
     zero = -numerator / offset if offset != 0.0 else None
     return Hyperbola(offset=offset, numerator=numerator, zero_crossing=zero)
 
@@ -244,12 +265,8 @@ def quasi_kernel_eta(h: complex, mu: float) -> Optional[float]:
     Returns None in the near-degenerate regime |mu - Re h| ~ 0 where the
     quotient amplifies noise; the mu = inf limit is Re h.
     """
-    x = h.real
-    if math.isinf(mu):
-        return x
-    if abs(mu - x) < 1e-8 * (1.0 + abs(mu)):
-        return None
-    return (mu * x - (h.real * h.real + h.imag * h.imag)) / (mu - x)
+    eta = float(_eta(h.real, h.imag, mu))
+    return None if math.isnan(eta) else eta
 
 
 def sweep(b: float, theta: float, m: float, xi: Optional[float],
@@ -258,41 +275,31 @@ def sweep(b: float, theta: float, m: float, xi: Optional[float],
 
     Rows are ordered by gamma regardless of input order.
     """
-    if len(gammas) == 0:
-        return []
-    circle = h_locus(b, theta, m, xi)
-    rows = []
-    for gamma in sorted(float(g) for g in gammas):
-        h = restore_h(b, gamma, theta, m, xi)
-        mu = restore_mu(h, gamma)
-        acc = accretivity(b, gamma)
-        sect = sectoriality_angle(b, gamma)
-        circ_res = abs((h.real - circle.center.real) ** 2
-                       + (h.imag - circle.center.imag) ** 2
-                       - circle.radius ** 2)
-        expected_theta = -m if math.isinf(b) else theta
-        eta = quasi_kernel_eta(h, mu)
-        eta_res = math.nan if eta is None else abs(eta - expected_theta)
-        rows.append(SweepRow(gamma=gamma, h=h, mu=mu, sectoriality=sect,
-                             accretive=acc.accretive, strict=acc.strict,
-                             circle_residual=circ_res, eta_residual=eta_res))
-    return rows
+    g = np.sort(np.asarray(gammas, dtype=float), kind="stable")
+    offset, numerator, x, y, mu, rank, alpha = _row(b, theta, m, xi, g)
+    r = numerator / 2.0  # the h circle: center offset + ir, radius r
+    circle_res = np.abs((x - offset) ** 2 + (y - r) ** 2 - r ** 2)
+    eta_res = np.abs(_eta(x, y, mu) - offset)
+    columns = (g, x, y, mu, rank, alpha, circle_res, eta_res)
+    return [SweepRow(gamma=gamma, h=complex(hx, hy), mu=u,
+                     sectoriality=_sectoriality(k, a), accretive=k > 0,
+                     strict=k == 2, circle_residual=c, eta_residual=e)
+            for gamma, hx, hy, u, k, a, c, e
+            in zip(*(col.tolist() for col in columns))]
 
 
 def restore_system(b: float, gamma: float, theta: float, m: float,
                    xi: Optional[float] = None,
                    class_tag: Optional[ClassTag] = None) -> RestoredSystem:
     """Full restoration: h, mu, accretivity/sectoriality flags, class tag."""
-    h = restore_h(b, gamma, theta, m, xi)
-    mu = restore_mu(h, gamma)
-    acc = accretivity(b, gamma)
-    sect = sectoriality_angle(b, gamma)
+    _, _, x, y, mu, rank, alpha = _row(b, theta, m, xi, float(gamma))
+    sect = _sectoriality(rank, alpha)
     return RestoredSystem(
-        h=h,
-        mu=mu,
+        h=complex(x, y),
+        mu=float(mu),
         gamma=gamma,
-        accretive=acc.accretive,
-        strict=acc.strict,
+        accretive=rank > 0,
+        strict=rank == 2,
         sectorial=(sect.kind == "sectorial"),
         extremal=(sect.kind == "extremal"),
         alpha=sect.alpha,

@@ -58,9 +58,8 @@ def eval_V(f: StieltjesLikeFunction, z: complex, tol: float = DEFAULT_TOL) -> co
     return f.gamma + complex(value)
 
 
-def check_herglotz(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] = None,
-                   tol: float = 1e-10) -> CheckReport:
-    """Sampled positivity check: min Im V over a grid in the upper half-plane."""
+def _sampled_min(f: StieltjesLikeFunction, grid, tol: float, value) -> CheckReport:
+    """Smallest value(z, V(z)) over a grid in the upper half-plane."""
     if grid is None:
         grid = log_polar_grid()
     worst = math.inf
@@ -69,29 +68,23 @@ def check_herglotz(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] =
         z = complex(z)
         if z.imag <= 0:
             raise ValidationError(f"grid point {z} not in the upper half-plane")
-        v = eval_V(f, z).imag
+        v = value(z, eval_V(f, z))
         if v < worst:
             worst, argmin = v, z
     return CheckReport(passed=(worst >= -tol), min_value=worst,
                        argmin=argmin, tolerance=tol)
 
 
+def check_herglotz(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] = None,
+                   tol: float = 1e-10) -> CheckReport:
+    """Sampled positivity check: min Im V over a grid in the upper half-plane."""
+    return _sampled_min(f, grid, tol, lambda z, v: v.imag)
+
+
 def check_stieltjes(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] = None,
                     tol: float = 1e-10) -> CheckReport:
     """Sampled check of Im[z V(z)] / Im z >= 0 over a grid in the upper half-plane."""
-    if grid is None:
-        grid = log_polar_grid()
-    worst = math.inf
-    argmin = complex(0, 1)
-    for z in grid:
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValidationError(f"grid point {z} not in the upper half-plane")
-        q = (z * eval_V(f, z)).imag / z.imag
-        if q < worst:
-            worst, argmin = q, z
-    return CheckReport(passed=(worst >= -tol), min_value=worst,
-                       argmin=argmin, tolerance=tol)
+    return _sampled_min(f, grid, tol, lambda z, v: (z * v).imag / z.imag)
 
 
 def asymptotics(f: StieltjesLikeFunction):

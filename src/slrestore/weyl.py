@@ -181,7 +181,6 @@ def _backward_m(ev: WeylEvaluator, lam: complex, length: float) -> complex:
     a = p.a
     k = _decay_root(lam, p.q_inf)
     decay = k.imag
-    rhs = _schrodinger_rhs(p, lam)
 
     def rhs2(x, y):
         qx = p.q(x)

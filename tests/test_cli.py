@@ -185,3 +185,29 @@ def test_verification_failure_exit_4(tmp_path):
     assert _run("verify", job, out) == 4
     payload = json.loads(out.read_text())  # report is still written
     assert payload["pass"] is False and payload["max_residual"] > 1e-2
+
+
+SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
+
+
+@pytest.mark.parametrize("command, job, message", [
+    ("classify", {"measure": PAPER_MEASURE, "gamma": math.nan}, "gamma: non-finite"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": "abc"}, "gamma:"),
+    ("classify", {"measure": {"pieces": [{"lo": 0.0, "coeff": 1.0, "exponent": -0.5}]},
+                  "gamma": 0.0}, "measure: missing key 'hi'"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, -3],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0, "operator": {"m": "x"}},
+     "operator:"),
+    # Im h = xi/(1 + gamma^2) underflows to 0
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 1e308, "operator": SWEEP_OPERATOR},
+     "gamma=1e+308"),
+], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
+        "operator-m-str", "gamma-huge"])
+def test_bad_job_field_exit_2_names_field(tmp_path, capsys, command, job, message):
+    out = tmp_path / "out"
+    assert _run(command, _write_job(tmp_path, "job.json", job), out) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize_scalar
 
 from slrestore.errors import (
@@ -344,3 +345,41 @@ def test_prop_accretive_half_plane(p):
         return
     h = restore_h(b, gamma, theta, m)
     assert h.real >= -m - 1e-12 * (1.0 + abs(h))
+
+
+sweep_params = st.one_of(
+    finite_params.map(lambda p: (p[0], p[1], p[2], None)),    # b, theta, m, xi
+    infinite_params.map(lambda p: (INF, -p[0], p[0], p[1])),
+)
+
+
+@given(sweep_params, st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12),
+       st.randoms())
+@example((2.0, 0.3, 0.2, None), [1.0, -1.0, -2.0, 0.0], random.Random(0))
+@example((INF, -0.5, 0.5, 1.0), [2.0, 0.0, -1.0], random.Random(0))
+def test_prop_sweep_matches_scalar_path(p, gammas, rnd):
+    b, theta, m, xi = p
+    rows = sweep(b, theta, m, xi, gammas)
+    assert [r.gamma for r in rows] == sorted(gammas)
+    shuffled = list(gammas)
+    rnd.shuffle(shuffled)
+
+    def key(r):
+        return r.gamma, r.h, r.mu, r.accretive, r.strict, r.sectoriality.kind
+
+    assert [key(r) for r in sweep(b, theta, m, xi, shuffled)] == [key(r) for r in rows]
+    # reference: the closed forms evaluated one gamma at a time in Python floats
+    offset, numerator = (theta, (theta + m) * b) if xi is None else (-m, xi)
+    for row in rows:
+        g = row.gamma
+        s = 1.0 + g * g
+        assert row.h == complex(offset + g * numerator / s, numerator / s)
+        assert row.mu == (INF if g == 0.0 else row.h.real + row.h.imag / g)
+        q = g if xi is not None else g * g + g * b + 1.0
+        assert (row.accretive, row.strict) == (q >= 0.0, q > 0.0)
+        rs = restore_system(b, row.gamma, theta, m, xi)
+        assert row.h == rs.h == restore_h(b, row.gamma, theta, m, xi)
+        assert row.mu == rs.mu == restore_mu(row.h, row.gamma)
+        assert (row.accretive, row.strict) == (rs.accretive, rs.strict)
+        assert (row.sectoriality.kind == "extremal") == rs.extremal
+        assert row.sectoriality.kind == sectoriality_angle(b, row.gamma).kind
