@@ -19,13 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import SlrestoreError, ValidationError
-from .measure import classify, measure_from_json, moments
+from .measure import classify, json_number, measure_from_json, moments
 from .pipeline import run_restore, run_verify
 from .restore import sweep
 from .stieltjes import log_polar_grid
 from .weyl import HalfLinePotential, OperatorData, WeylEvaluator, weyl_m
 
 COMMANDS = ("classify", "moments", "restore", "sweep", "verify", "weyl")
+
+#: Largest row count a gamma_range may ask for; checked before any allocation.
+MAX_GAMMA_ROWS = 1_000_000
 
 
 def _fmt(x: float):
@@ -92,13 +95,16 @@ def _field(name: str):
 
 def _job_gamma(job: dict) -> float:
     with _field("gamma"):
-        return float(job["gamma"])
+        return json_number(job["gamma"])
 
 
 def _job_gammas(job: dict) -> list:
     with _field("gamma_range"):
         lo, hi, n = job["gamma_range"]
-        return [float(g) for g in np.linspace(float(lo), float(hi), int(n))]
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 < n <= MAX_GAMMA_ROWS:
+            raise ValueError(f"row count must be an integer in [1, {MAX_GAMMA_ROWS}], "
+                             f"got {n!r}")
+        return [float(g) for g in np.linspace(json_number(lo), json_number(hi), n)]
 
 
 def _job_measure(job: dict):
@@ -113,18 +119,18 @@ def _job_potential(job: dict) -> Optional[HalfLinePotential]:
     with _field("potential"):
         q = obj["q"]
         kind = q["kind"]
+        a = json_number(obj.get("a", 0.0))
         if kind == "zero":
-            return HalfLinePotential(a=float(obj.get("a", 0.0)), kind="zero")
+            return HalfLinePotential(a=a, kind="zero")
         if kind == "constant":
-            return HalfLinePotential(a=float(obj.get("a", 0.0)), kind="constant",
-                                     value=float(q["value"]))
+            return HalfLinePotential(a=a, kind="constant", value=json_number(q["value"]))
         if kind == "table":
             return HalfLinePotential(
-                a=float(obj.get("a", 0.0)), kind="table",
-                grid=tuple(float(x) for x in q["grid"]),
-                values=tuple(float(x) for x in q["values"]),
-                cutoff=float(q["cutoff"]),
-                q_inf=float(q.get("q_inf", 0.0)))
+                a=a, kind="table",
+                grid=tuple(json_number(x) for x in q["grid"]),
+                values=tuple(json_number(x) for x in q["values"]),
+                cutoff=json_number(q["cutoff"]),
+                q_inf=json_number(q.get("q_inf", 0.0)))
         raise ValidationError(f"cli: unknown potential kind {kind!r}")
 
 
@@ -133,18 +139,25 @@ def _job_operator(job: dict) -> Optional[OperatorData]:
     if obj is None:
         return None
     with _field("operator"):  # m is required; the rest may be derived
-        return OperatorData(theta=float(obj.get("theta", -float(obj["m"]))),
-                            m=float(obj["m"]),
-                            c=(None if obj.get("c") is None else float(obj["c"])),
-                            xi=(None if obj.get("xi") is None else float(obj["xi"])))
+        m = json_number(obj["m"])
+        return OperatorData(theta=json_number(obj.get("theta", -m)), m=m,
+                            c=(None if obj.get("c") is None else json_number(obj["c"])),
+                            xi=(None if obj.get("xi") is None else json_number(obj["xi"])))
 
 
 def _job_evaluator(job: dict, potential) -> Optional[WeylEvaluator]:
     if potential is None:
         return None
     with _field("tolerances"):
-        ode_tol = float(job.get("tolerances", {}).get("ode", 1e-10))
+        ode_tol = json_number(job.get("tolerances", {}).get("ode", 1e-10))
     return WeylEvaluator(potential=potential, ode_tol=ode_tol)
+
+
+def _job_output(job: dict) -> Optional[str]:
+    obj = job.get("output", {})
+    if not isinstance(obj, dict) or not isinstance(obj.get("path", ""), str):
+        raise ValidationError(f'cli: output: expected {{"path": <string>}}, got {obj!r}')
+    return obj.get("path")
 
 
 def _sectoriality_cell(sect):
@@ -222,7 +235,7 @@ def _cmd_verify(job: dict) -> bytes:
     if potential is None:
         raise ValidationError("cli: verify requires a potential for the forward model")
     with _field("tolerances"):
-        tol = float(job.get("tolerances", {}).get("verify", 1e-6))
+        tol = json_number(job.get("tolerances", {}).get("verify", 1e-6))
     report = run_verify(sigma, gamma, potential, operator=_job_operator(job),
                         evaluator=_job_evaluator(job, potential), tol=tol)
     return _json_bytes(report.to_json())
@@ -235,7 +248,7 @@ def _cmd_weyl(job: dict) -> bytes:
     ev = _job_evaluator(job, potential)
     if "lambdas" in job:
         with _field("lambdas"):
-            lams = [complex(float(p[0]), float(p[1])) for p in job["lambdas"]]
+            lams = [complex(json_number(p[0]), json_number(p[1])) for p in job["lambdas"]]
     else:
         lams = log_polar_grid(n_radius=5, n_angle=4)
     rows = []
@@ -275,11 +288,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         job = _load_job(args.job, args.command)
-        payload = _IMPL[args.command](job)
-        out_path = args.out or job.get("output", {}).get("path")
+        job_out = _job_output(job)  # checked even when --out overrides it
+        out_path = args.out or job_out
         if out_path is None:
             raise ValidationError("cli: no output path (job 'output.path' or --out)")
-        Path(out_path).write_bytes(payload)
+        payload = _IMPL[args.command](job)
+        try:
+            Path(out_path).write_bytes(payload)
+        except OSError as exc:
+            raise ValidationError(f"cli: output: cannot write {out_path}: {exc}") from exc
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

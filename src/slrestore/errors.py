@@ -34,8 +34,8 @@ class OdeStepFailure(SlrestoreError):
     """The ODE integrator failed or broke the Wronskian tolerance."""
 
 
-class TruncationDominates(SlrestoreError):
-    """Doubling the truncation length moved the Weyl value too much."""
+class NegativeQInf(ValidationError):
+    """m_inf(-0) is undefined: q_inf < 0 puts -0 inside the essential spectrum."""
 
 
 class NodeAtEndpoint(SlrestoreError):
@@ -43,7 +43,7 @@ class NodeAtEndpoint(SlrestoreError):
 
 
 class NonConvergent(SlrestoreError):
-    """An extrapolated limit failed to settle within tolerance."""
+    """An iterative computation failed to settle within tolerance."""
 
 
 class Unsupported(SlrestoreError):

@@ -15,6 +15,7 @@ decided analytically from piece/tail exponents, never numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -44,6 +45,7 @@ __all__ = [
     "moments",
     "classify",
     "adaptive_gauss_legendre",
+    "json_number",
     "measure_from_json",
     "measure_to_json",
 ]
@@ -400,29 +402,37 @@ def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
 
 # -- JSON schema -------------------------------------------------------------
 
+def json_number(x) -> float:
+    """float(x) for a JSON number; a boolean or a string raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def measure_from_json(obj: dict, validate: bool = True) -> SpectralMeasure:
     """Parse the measure JSON schema (see README) into a SpectralMeasure."""
     if not isinstance(obj, dict):
         raise ValidationError("measure: expected a JSON object")
-    atoms = tuple(Atom(float(a["t"]), float(a["w"])) for a in obj.get("atoms", ()))
+    num = json_number
+    atoms = tuple(Atom(num(a["t"]), num(a["w"])) for a in obj.get("atoms", ()))
     pieces = []
     for p in obj.get("pieces", ()):
         kind = p.get("kind", "power_law")
         if kind == "power_law":
-            pieces.append(PowerLawPiece(float(p["lo"]), float(p["hi"]),
-                                        float(p["coeff"]), float(p["exponent"])))
+            pieces.append(PowerLawPiece(num(p["lo"]), num(p["hi"]),
+                                        num(p["coeff"]), num(p["exponent"])))
         elif kind == "inverse_sqrt":
-            pieces.append(PowerLawPiece(float(p["lo"]), float(p["hi"]),
-                                        float(p["coeff"]), -0.5))
+            pieces.append(PowerLawPiece(num(p["lo"]), num(p["hi"]),
+                                        num(p["coeff"]), -0.5))
         elif kind == "table":
-            pieces.append(TablePiece(tuple(float(x) for x in p["knots"]),
-                                     tuple(float(x) for x in p["values"])))
+            pieces.append(TablePiece(tuple(num(x) for x in p["knots"]),
+                                     tuple(num(x) for x in p["values"])))
         else:
             raise ValidationError(f"measure: unknown piece kind {kind!r}")
     tail = None
     if obj.get("tail") is not None:
         t = obj["tail"]
-        tail = Tail(float(t["T"]), float(t["coeff"]), float(t["exponent"]))
+        tail = Tail(num(t["T"]), num(t["coeff"]), num(t["exponent"]))
     return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail,
                            declared_infinite_mass=bool(obj.get("infinite_mass", False)),
                            validate=validate)

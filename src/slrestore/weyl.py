@@ -5,10 +5,12 @@ the normalization phi1(a)=0, phi1'(a)=1, phi2(a)=-1, phi2'(a)=0 the
 square-integrable solution is phi2 + m_inf(lambda) phi1, which gives
 m_inf(lambda) = -y'(a)/y(a) for any decaying solution y.
 
-The decaying solution is computed by backward integration from a truncation
-point: it is the unstable direction forward and the stable one backward.
-The boundary limit m_inf(-0) is obtained from the sequence lambda_k = -2^-k
-with two-level Richardson extrapolation in sqrt(-lambda).
+Every representable potential equals q_inf exactly beyond its cutoff, so
+the decaying solution there is e^{ik(x - cutoff)} with k = sqrt(lambda -
+q_inf), Im k > 0.  For zero and constant q this gives m_inf = -ik in closed
+form.  For a tabulated q the solution starts at the cutoff from (1, ik) and
+is integrated back over [a, cutoff] only: backward is its stable direction.
+The boundary limit m_inf(-0) is one such propagation at lambda = 0.
 """
 from __future__ import annotations
 
@@ -21,10 +23,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    NegativeQInf,
     NodeAtEndpoint,
-    NonConvergent,
     OdeStepFailure,
-    TruncationDominates,
     Unsupported,
     ValidationError,
 )
@@ -56,6 +57,9 @@ class HalfLinePotential:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "table"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
+        nums = (self.a, self.value, self.cutoff, self.q_inf, *self.grid, *self.values)
+        if not all(map(math.isfinite, nums)):
+            raise ValidationError("potential: every number must be finite")
         if self.kind == "zero" and self.q_inf != 0.0:
             raise ValidationError("zero potential must have q_inf = 0")
         if self.kind == "constant":
@@ -107,20 +111,15 @@ class OperatorData:
 class WeylEvaluator:
     """Immutable evaluator lambda -> m_inf(lambda) for one potential.
 
-    With adaptive_length=True (default) the truncation point is scaled with
-    the decay rate Im sqrt(lambda - q_inf), using L as a floor; with
-    adaptive_length=False the given L is used verbatim.
+    Zero and constant potentials use the closed form -i sqrt(lambda - q_inf);
+    a tabulated potential is integrated from the cutoff, where the decaying
+    solution is known exactly, back to a with relative tolerance ode_tol.
     """
 
     potential: HalfLinePotential
-    L: float = 60.0
     ode_tol: float = 1e-10
-    adaptive_length: bool = True
 
     def __post_init__(self):
-        cutoff = self.potential.cutoff if self.potential.kind == "table" else self.potential.a
-        if self.L < max(cutoff, 10.0):
-            raise ValidationError("truncation length L must be >= max(cutoff, 10)")
         if self.ode_tol <= 0:
             raise ValidationError("ode_tol must be positive")
 
@@ -175,99 +174,74 @@ def _decay_root(lam: complex, q_inf: float) -> complex:
     return k
 
 
-def _backward_m(ev: WeylEvaluator, lam: complex, length: float) -> complex:
-    """m from one backward sweep over [a, a + length], renormalized in chunks."""
+def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
+    """-y'(a)/y(a) for the solution equal to e^{ik(x - cutoff)} beyond the cutoff.
+
+    One backward sweep over [a, cutoff], renormalized in chunks.  Solutions
+    grow at most like e^{s|x - x0|} with s = sqrt(max |q - lambda|) (Gronwall
+    in the variables (y, y'/s)); |q - lambda| is convex in q, so the maximum
+    sits at a table value or at q_inf.
+    """
     p = ev.potential
-    a = p.a
-    k = _decay_root(lam, p.q_inf)
-    decay = k.imag
+    grid = np.asarray(p.grid, dtype=float)
+    values = np.asarray(p.values, dtype=float)
 
-    def rhs2(x, y):
-        qx = p.q(x)
-        return [y[1], (qx - lam) * y[0]]
+    def rhs(x, y):
+        # np.interp holds values[-1] on [grid[-1], cutoff]: the left limit at the cutoff
+        return [y[1], (np.interp(x, grid, values) - lam) * y[0]]
 
-    # keep the per-chunk growth factor well below overflow
-    chunk = length if decay <= 0 else min(length, 50.0 / decay)
+    s = math.sqrt(max(abs(v - lam) for v in (*p.values, p.q_inf)))
+    length = p.cutoff - p.a
+    chunk = length if s == 0 else min(length, 200.0 / s)
     y = np.array([1.0, 1j * k], dtype=complex)
-    x_hi = a + length
-    while x_hi > a:
-        x_lo = max(a, x_hi - chunk)
-        sol = solve_ivp(rhs2, (x_hi, x_lo), y, method="DOP853",
-                        rtol=ev.ode_tol, atol=0.0)
+    x_hi = p.cutoff
+    while x_hi > p.a:
+        x_lo = max(p.a, x_hi - chunk)
+        # atol > 0: a zero start component (y' = 0 at lambda = q_inf = 0)
+        # would make DOP853's first-step estimate divide by zero
+        sol = solve_ivp(rhs, (x_hi, x_lo), y, method="DOP853",
+                        rtol=ev.ode_tol, atol=ev.ode_tol * 1e-3)
         if not sol.success:
             raise OdeStepFailure(sol.message)
         y = sol.y[:, -1]
-        scale = abs(y[0]) + abs(y[1]) / max(abs(k), 1.0)
-        if scale > 0:
-            y = y / scale
+        y = y / (abs(y[0]) + abs(y[1]) / max(abs(k), 1.0))
         x_hi = x_lo
     if abs(y[0]) <= ev.ode_tol * abs(y[1]):
         raise NodeAtEndpoint(f"decaying solution vanishes at x=a for lambda={lam}")
     return complex(-y[1] / y[0])
 
 
-def _effective_length(ev: WeylEvaluator, lam: complex) -> float:
-    p = ev.potential
-    decay = _decay_root(lam, p.q_inf).imag
-    if decay <= 0:
+def weyl_m(ev: WeylEvaluator, lam: complex) -> complex:
+    """m_inf(lambda) for lambda off the essential spectrum [q_inf, +inf)."""
+    lam = complex(lam)
+    k = _decay_root(lam, ev.potential.q_inf)
+    if not k.imag > 0:  # also rejects NaN
         raise ValidationError(
             f"lambda={lam} admits no decaying solution (needs Im lambda != 0 "
             "or lambda below the essential spectrum)"
         )
-    base = ev.L - p.a
-    cutoff_len = (p.cutoff - p.a) if p.kind == "table" else 0.0
-    if not ev.adaptive_length:
-        return base
-    # 20/decay keeps the truncation error near e^-40; chunked renormalization
-    # in _backward_m makes a generous length safe against overflow
-    return max(base, 20.0 / decay, cutoff_len + 2.0)
+    if ev.potential.kind != "table":
+        return -1j * k
+    return _table_m(ev, lam, k)
 
 
-def weyl_m(ev: WeylEvaluator, lam: complex, check_truncation: bool = False) -> complex:
-    """m_inf(lambda) for lambda off the essential spectrum."""
-    lam = complex(lam)
-    length = _effective_length(ev, lam)
-    m = _backward_m(ev, lam, length)
-    if check_truncation:
-        m2 = _backward_m(ev, lam, 2.0 * length)
-        if abs(m2 - m) > 10.0 * ev.ode_tol * (1.0 + abs(m)):
-            raise TruncationDominates(
-                f"doubling the truncation length moved m by {abs(m2 - m):.3e}"
-            )
-    return m
+def weyl_m_at_minus_zero(ev: WeylEvaluator) -> float:
+    """Boundary limit m_inf(-0), from one propagation at lambda = 0.
 
-
-def weyl_m_at_minus_zero(ev: WeylEvaluator, k_max: int = 26,
-                         conv_tol: float = 1e-6) -> float:
-    """Limit m_inf(-0) by Richardson extrapolation along lambda_k = -2^-k.
-
-    Near zero m behaves like m0 + c1*sqrt(-lambda) + c2*lambda; the first
-    Richardson level (ratio sqrt(2) in sqrt(-lambda)) removes the sqrt term,
-    the second (ratio 2 in lambda) the linear one.
+    For q_inf > 0 the point 0 lies below the essential spectrum and m_inf is
+    analytic there.  For q_inf = 0 the potential differs from 0 only on
+    [a, cutoff], so the Jost solution is analytic in k at k = 0 and the
+    limit is the zero-energy solution, equal to 1 beyond the cutoff.
     """
-    sqrt2 = math.sqrt(2.0)
-    ms = []
-    r1 = []
-    r2 = []
-    prev = None
-    for k in range(k_max + 1):
-        ms.append(weyl_m(ev, -(2.0 ** -k)).real)
-        if k >= 1:
-            r1.append((sqrt2 * ms[k] - ms[k - 1]) / (sqrt2 - 1.0))
-        if k >= 2:
-            r2.append(2.0 * r1[-1] - r1[-2])
-            if prev is not None and abs(r2[-1] - prev) < conv_tol:
-                return r2[-1]
-            prev = r2[-1]
-    diffs = [abs(x - y) for x, y in zip(r2[1:], r2[:-1])]
-    if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-        raise NonConvergent(
-            f"m_inf(-0) extrapolant oscillates (last differences {diffs[-2:]})"
+    p = ev.potential
+    if p.q_inf < 0:
+        raise NegativeQInf(
+            f"q_inf={p.q_inf} < 0: lambda = -0 lies inside the essential "
+            "spectrum, so m_inf(-0) is not defined"
         )
-    raise NonConvergent(
-        f"m_inf(-0) extrapolant not settled after k={k_max} "
-        f"(last difference {diffs[-1] if diffs else math.nan})"
-    )
+    if p.kind != "table":
+        return math.sqrt(p.q_inf)
+    return _table_m(ev, 0.0, 1j * math.sqrt(p.q_inf)).real
 
 
 def boundary_trace_constant(potential: HalfLinePotential) -> float:

@@ -204,10 +204,37 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
     # Im h = xi/(1 + gamma^2) underflows to 0
     ("restore", {"measure": PAPER_MEASURE, "gamma": 1e308, "operator": SWEEP_OPERATOR},
      "gamma=1e+308"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "output": "b.json"}, "output:"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                  "output": {"path": "no_such_dir/c.json"}}, "output:"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": True}, "gamma: expected a number"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": "nan"}, "gamma: expected a number"),
+    ("classify", {"measure": {"pieces": [{"lo": 0.0, "hi": 1.0, "coeff": True,
+                                          "exponent": -0.5}]}, "gamma": 0.0},
+     "measure: expected a number"),
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0, "operator": {"m": False}},
+     "operator: expected a number"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, 2.7],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, True],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, 0],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    # rejected before np.linspace allocates the rows
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, cli.MAX_GAMMA_ROWS + 1],
+               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [False, 1.0, 5],
+               "operator": SWEEP_OPERATOR}, "gamma_range: expected a number"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
-        "operator-m-str", "gamma-huge"])
-def test_bad_job_field_exit_2_names_field(tmp_path, capsys, command, job, message):
-    out = tmp_path / "out"
-    assert _run(command, _write_job(tmp_path, "job.json", job), out) == 2
-    assert not out.exists()
+        "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
+        "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
+        "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo"])
+def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
+                                          message):
+    monkeypatch.chdir(tmp_path)  # a relative output path lands here
+    argv = [command, "--job", _write_job(tmp_path, "job.json", job), "--quiet"]
+    if "output" not in job:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # no artifact
     assert message in capsys.readouterr().err

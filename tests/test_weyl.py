@@ -1,18 +1,20 @@
 """Tests for the Weyl-Titchmarsh solver.
 
 Oracles: closed forms m(lambda) = -i sqrt(lambda - v) for zero/constant
-potentials (branch Im sqrt > 0), and sin/cos solutions of the Cauchy
-problems.
+potentials (branch Im sqrt > 0), sin/cos solutions of the Cauchy problems,
+and, for a tabulated potential, an mpmath Airy-function solution of a
+linear ramp plus its constant tail.
 """
 from __future__ import annotations
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from slrestore.errors import TruncationDominates, Unsupported, ValidationError
+from slrestore.errors import NegativeQInf, NodeAtEndpoint, Unsupported, ValidationError
 from slrestore.weyl import (
     HalfLinePotential,
     OperatorData,
@@ -84,12 +86,16 @@ def test_wronskian_conservation(zero_potential, const1_evaluator):
 # -- m function ---------------------------------------------------------------
 
 def test_m_at_minus_four(zero_evaluator):
-    assert abs(weyl_m(zero_evaluator, -4.0) - 2.0) < 1e-6
+    assert abs(weyl_m(zero_evaluator, -4.0) - 2.0) < 1e-12
+
+
+def test_m_at_minus_hundredth(zero_evaluator):
+    assert abs(weyl_m(zero_evaluator, -0.01) - 0.1) < 1e-12
 
 
 def test_m_at_i(zero_evaluator):
     expected = cmath.exp(-1j * math.pi / 4)
-    assert abs(weyl_m(zero_evaluator, 1j) - expected) < 1e-6
+    assert abs(weyl_m(zero_evaluator, 1j) - expected) < 1e-12
 
 
 def test_m_closed_form_grid(zero_evaluator, const1_evaluator, const4_evaluator):
@@ -99,12 +105,14 @@ def test_m_closed_form_grid(zero_evaluator, const1_evaluator, const4_evaluator):
                   (const4_evaluator, 4.0)):
         for lam in grid:
             oracle = _m_closed(lam, v)
-            assert abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-6
+            assert abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-12
 
 
 def test_m_rejects_points_without_decay(zero_evaluator):
     with pytest.raises(ValidationError):
         weyl_m(zero_evaluator, 4.0)  # inside the essential spectrum
+    with pytest.raises(ValidationError):
+        weyl_m(zero_evaluator, complex(math.nan, 1.0))
 
 
 def test_reciprocal_m_herglotz_property(zero_evaluator, const1_evaluator):
@@ -125,41 +133,103 @@ def test_m_conjugate_symmetry(zero_evaluator, const1_evaluator):
             assert abs(m_dn - m_up.conjugate()) < 1e-8
 
 
-def test_truncation_stability(zero_potential):
-    ev_short = WeylEvaluator(potential=zero_potential, L=20.0, adaptive_length=False)
-    ev_long = WeylEvaluator(potential=zero_potential, L=40.0, adaptive_length=False)
-    for lam in (0.5j, 1.0 + 1.0j, -1.0 + 2.0j, 3.0 + 0.5j):
-        assert abs(weyl_m(ev_short, lam) - weyl_m(ev_long, lam)) <= 1e-7
+@pytest.mark.parametrize("cutoff", [2.0, 7.0])
+def test_m_independent_of_cutoff(cutoff):
+    # a table that equals v everywhere is the constant potential v, wherever
+    # its cutoff sits
+    v = 0.75
+    ev = WeylEvaluator(potential=HalfLinePotential(
+        kind="table", grid=(0.0, 0.5, 2.0), values=(v, v, v), cutoff=cutoff, q_inf=v))
+    for lam in (0.5j, 1.0 + 1.0j, -1.0 + 2.0j, 3.0 + 0.5j, -2.0):
+        oracle = _m_closed(lam, v)
+        assert abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-9
+    assert abs(weyl_m_at_minus_zero(ev) - math.sqrt(v)) < 1e-9
 
 
-def test_truncation_dominates_detected(zero_potential, monkeypatch):
-    # Every representable potential equals q_inf exactly beyond its cutoff, so
-    # the backward initial data are exact and m is L-independent; exercise the
-    # guard by faking a length-dependent answer.
-    import slrestore.weyl as weyl_mod
+# -- tabulated potential: Airy oracle ----------------------------------------
 
-    ev = WeylEvaluator(potential=zero_potential, L=10.0, adaptive_length=False)
-    monkeypatch.setattr(weyl_mod, "_backward_m",
-                        lambda _ev, _lam, length: complex(0.1 + 1e-4 / length, 0.0))
-    with pytest.raises(TruncationDominates):
-        weyl_m(ev, -0.01, check_truncation=True)
+RAMP_X1 = 2.0
+RAMP_CUTOFF = 3.0
 
 
-def test_m_check_truncation_clean(zero_evaluator):
-    # with adaptive length, doubling L must not move m
-    m = weyl_m(zero_evaluator, -0.01, check_truncation=True)
-    assert abs(m - 0.1) < 1e-6
+def _ramp_potential(q0: float, q1: float, q_inf: float) -> HalfLinePotential:
+    return HalfLinePotential(kind="table", grid=(0.0, RAMP_X1), values=(q0, q1),
+                             cutoff=RAMP_CUTOFF, q_inf=q_inf)
+
+
+def _airy_ramp_m(q0: float, q1: float, q_inf: float, lam: complex) -> complex:
+    """-y'(0)/y(0) for q = q0 + s x on [0, x1], q1 on [x1, cutoff), q_inf beyond.
+
+    y = e^{ik(x - cutoff)} beyond the cutoff (at k = 0 the zero-energy
+    solution y = 1), trigonometric on the flat piece, and A Ai(t) + B Bi(t)
+    with t = c x + (q0 - lam)/c^2, c^3 = s, on the ramp.
+    """
+    with mpmath.workdps(50):
+        lam = mpmath.mpc(lam)
+        k = mpmath.sqrt(lam - q_inf)
+        if k.imag < 0:
+            k = -k
+        y, dy = mpmath.mpc(1), 1j * k
+        w = mpmath.sqrt(lam - q1)
+        d = mpmath.mpf(RAMP_X1) - RAMP_CUTOFF
+        y, dy = (y * mpmath.cos(w * d) + dy * mpmath.sin(w * d) / w,
+                 -y * w * mpmath.sin(w * d) + dy * mpmath.cos(w * d))
+        s = (mpmath.mpf(q1) - q0) / RAMP_X1
+        c = mpmath.cbrt(s) if s > 0 else -mpmath.cbrt(-s)
+
+        def basis(x):
+            t = c * x + (q0 - lam) / c ** 2
+            return mpmath.matrix([[mpmath.airyai(t), mpmath.airybi(t)],
+                                  [c * mpmath.airyai(t, 1), c * mpmath.airybi(t, 1)]])
+
+        coef = mpmath.lu_solve(basis(mpmath.mpf(RAMP_X1)), mpmath.matrix([y, dy]))
+        y0, dy0 = basis(mpmath.mpf(0)) * coef
+        return complex(-dy0 / y0)
+
+
+RAMPS = [(1.5, 0.5, 0.0), (0.2, 1.2, 0.8)]
+
+
+@pytest.mark.parametrize("q0, q1, q_inf", RAMPS)
+def test_table_m_airy_oracle(q0, q1, q_inf):
+    ev = WeylEvaluator(potential=_ramp_potential(q0, q1, q_inf))
+    for lam in (0.3 + 0.4j, -2.0 + 0.5j, 1j, 3.0 + 2.0j, -1.0, 10.0 + 1.0j):
+        oracle = _airy_ramp_m(q0, q1, q_inf, lam)
+        assert abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-8
+
+
+@pytest.mark.parametrize("q0, q1, q_inf", RAMPS)
+def test_table_m_minus_zero_airy_oracle(q0, q1, q_inf):
+    oracle = _airy_ramp_m(q0, q1, q_inf, 0.0).real
+    m0 = weyl_m_at_minus_zero(WeylEvaluator(potential=_ramp_potential(q0, q1, q_inf)))
+    assert abs(m0 - oracle) / abs(oracle) < 1e-8
+
+
+def test_m_minus_zero_negative_q_inf():
+    for p in (HalfLinePotential(kind="constant", value=-1.0),
+              _ramp_potential(1.5, 0.5, -0.25)):
+        with pytest.raises(NegativeQInf, match="q_inf=.* < 0"):
+            weyl_m_at_minus_zero(WeylEvaluator(potential=p))
+
+
+def test_m_minus_zero_resonance_node():
+    # q = -(pi/2)^2 on [0, 1), 0 beyond: the zero-energy solution cos(pi/2 (x - 1))
+    # vanishes at a = 0
+    w2 = (math.pi / 2) ** 2
+    p = HalfLinePotential(kind="table", grid=(0.0, 1.0), values=(-w2, -w2), cutoff=1.0)
+    with pytest.raises(NodeAtEndpoint):
+        weyl_m_at_minus_zero(WeylEvaluator(potential=p))
 
 
 # -- boundary limit m(-0) -----------------------------------------------------
 
 def test_m_minus_zero_free(zero_evaluator):
-    assert abs(weyl_m_at_minus_zero(zero_evaluator)) < 1e-4
+    assert abs(weyl_m_at_minus_zero(zero_evaluator)) < 1e-12
 
 
 def test_m_minus_zero_constant(const1_evaluator, const4_evaluator):
-    assert abs(weyl_m_at_minus_zero(const1_evaluator) - 1.0) < 1e-4
-    assert abs(weyl_m_at_minus_zero(const4_evaluator) - 2.0) < 1e-4
+    assert abs(weyl_m_at_minus_zero(const1_evaluator) - 1.0) < 1e-12
+    assert abs(weyl_m_at_minus_zero(const4_evaluator) - 2.0) < 1e-12
 
 
 def test_m_monotone_near_zero(zero_evaluator):
@@ -198,14 +268,17 @@ def test_operator_data_validation():
 
 def test_evaluator_validation(zero_potential):
     with pytest.raises(ValidationError):
-        WeylEvaluator(potential=zero_potential, L=5.0)
-    with pytest.raises(ValidationError):
         WeylEvaluator(potential=zero_potential, ode_tol=0.0)
 
 
 def test_potential_validation():
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="mystery")
+    with pytest.raises(ValidationError):
+        HalfLinePotential(kind="constant", value=math.nan)
+    with pytest.raises(ValidationError):
+        HalfLinePotential(kind="table", grid=(0.0, 1.0), values=(math.inf, 0.0),
+                          cutoff=1.0)
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="table", grid=(0.0,), values=(1.0,), cutoff=1.0)
     with pytest.raises(ValidationError):
