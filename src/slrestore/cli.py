@@ -57,7 +57,7 @@ def _load_job(path: str, command: str) -> dict:
             job = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cli: cannot read job file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, an int of > 4300 digits
         raise ValidationError(f"cli: malformed job JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise ValidationError("cli: job file must contain a JSON object")
@@ -89,7 +89,7 @@ def _field(name: str):
         yield
     except KeyError as exc:
         raise ValidationError(f"cli: {name}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cli: {name}: {exc}") from exc
 
 

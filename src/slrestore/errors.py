@@ -42,10 +42,6 @@ class NodeAtEndpoint(SlrestoreError):
     """The decaying solution (numerically) vanishes at the left endpoint."""
 
 
-class NonConvergent(SlrestoreError):
-    """An iterative computation failed to settle within tolerance."""
-
-
 class Unsupported(SlrestoreError):
     """A closed form is only available for a restricted input class."""
 

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from slrestore import cli
-from slrestore.errors import NonConvergent
+from slrestore.errors import OdeStepFailure
 from slrestore.measure import measure_from_json
 
 PAPER_MEASURE = {
@@ -143,6 +143,19 @@ def test_malformed_json_exit_2_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    b'{"gamma": 1' + b"0" * 5000 + b"}",  # int beyond the 4300-digit str limit
+    b'{"gamma": "\xff"}',  # not UTF-8
+], ids=["int-5001-digits", "not-utf8"])
+def test_unreadable_job_json_exit_2(tmp_path, capsys, text):
+    job = tmp_path / "bad.json"
+    job.write_bytes(text)
+    out = tmp_path / "out.json"
+    assert _run("classify", str(job), out) == 2
+    assert not out.exists()
+    assert "malformed job JSON" in capsys.readouterr().err
+
+
 def test_command_mismatch_exit_2(tmp_path):
     job = _write_job(tmp_path, "job.json",
                      {"command": "moments", "measure": PAPER_MEASURE, "gamma": 0.0})
@@ -166,7 +179,7 @@ def test_missing_output_path_exit_2(tmp_path):
 
 def test_numerical_failure_exit_3(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
-        raise NonConvergent("extrapolant oscillates")
+        raise OdeStepFailure("step size underflow")
 
     monkeypatch.setattr(cli, "run_restore", explode)
     job = _write_job(tmp_path, "job.json",
@@ -225,10 +238,13 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
                "operator": SWEEP_OPERATOR}, "gamma_range:"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [False, 1.0, 5],
                "operator": SWEEP_OPERATOR}, "gamma_range: expected a number"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 10**400},
+     "gamma: int too large to convert to float"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
-        "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo"])
+        "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
+        "gamma-int-overflow"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
