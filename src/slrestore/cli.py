@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -169,12 +170,15 @@ def _sectoriality_cell(sect):
 # -- command implementations -------------------------------------------------
 
 def _cmd_classify(job: dict) -> bytes:
+    # looked up per call, so that a wrapper on measure.integrate_weighted applies
+    from .measure import INV_T, integrate_weighted
+
     sigma = _job_measure(job)
     gamma = _job_gamma(job)
     tag = classify(sigma, gamma)
-    mom = moments(sigma)
+    b, _ = integrate_weighted(sigma, INV_T)
     return _json_bytes({"class": tag.kind, "stieltjes": tag.stieltjes,
-                        "gamma": gamma, "b": _fmt(mom.b)})
+                        "gamma": gamma, "b": _fmt(b)})
 
 
 def _cmd_moments(job: dict) -> bytes:
@@ -270,6 +274,7 @@ _IMPL = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slrestore",

@@ -1,16 +1,19 @@
 """Tests for spectral measures and weighted integrals.
 
 Independent oracle: scipy.integrate.quad on explicitly substituted
-integrands, plus closed-form antiderivatives where they exist.
+integrands, plus closed-form antiderivatives where they exist (evaluated in
+mpmath for the 200-knot tables).
 """
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import slrestore.measure as measure_module
 from slrestore.errors import (
     DivergentAtOrigin,
     NonIntegrable,
@@ -55,6 +58,133 @@ def test_quadrature_empty_interval():
     assert adaptive_gauss_legendre(np.cos, 1.0, 1.0) == (0.0, 0.0)
 
 
+def _reference_dfs(f, lo, hi, tol=1e-11, max_depth=52):
+    """The scalar depth-first loop that the panel-set quadrature replaced."""
+    nodes_lo, weights_lo = np.polynomial.legendre.leggauss(10)
+    nodes_hi, weights_hi = np.polynomial.legendre.leggauss(21)
+    width0 = hi - lo
+    if width0 <= 0:
+        return 0.0, 0.0
+    stack = [(lo, hi, 0)]
+    value = 0.0
+    err = 0.0
+    while stack:
+        a, b, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        i_hi = half * np.sum(weights_hi * f(mid + half * nodes_hi))
+        i_lo = half * np.sum(weights_lo * f(mid + half * nodes_lo))
+        e = abs(i_hi - i_lo)
+        if e <= tol * ((b - a) / width0) or depth >= max_depth:
+            value = value + i_hi
+            err += e
+        else:
+            stack.append((a, mid, depth + 1))
+            stack.append((mid, b, depth + 1))
+    return value, err
+
+
+def _reference_sum(f, lo, hi):
+    value = 0.0
+    err = 0.0
+    for k0, k1 in zip(lo, hi):
+        v, e = _reference_dfs(f, k0, k1)
+        value = value + v
+        err += e
+    return value, err
+
+
+def _jittered_table(seed, lo, hi, n_knots, v0):
+    """Knots and values shaped like the benchmark's 200-knot tables."""
+    rng = np.random.default_rng(seed)
+    step = (hi - lo) / (n_knots - 1)
+    knots = lo + step * np.arange(n_knots)
+    knots[1:-1] += rng.uniform(-0.3, 0.3, n_knots - 2) * step
+    values = np.concatenate([[v0], rng.uniform(0.05, 1.0, n_knots - 1)])
+    return TablePiece(tuple(knots.tolist()), tuple(values.tolist()))
+
+
+_PANEL_SET_CASES = {
+    "table-inv-1plus-t": lambda p: (lambda t: p.density(t) / (1.0 + t)),
+    "table-inv-t": lambda p: (lambda t: p.density(t) / t),
+    "table-resolvent": lambda p: (lambda t: p.density(t) / (t - (0.4 + 0.05j))),
+    "power-0.3": lambda p: (lambda t: np.power(t, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PANEL_SET_CASES))
+def test_panel_set_equals_per_segment_reference(case):
+    piece = _jittered_table(11, 0.0, 3.0, 40, 0.0)
+    f = _PANEL_SET_CASES[case](piece)
+    knots = np.asarray(piece.knots)
+    value, err = adaptive_gauss_legendre(f, knots[:-1], knots[1:])
+    ref_value, ref_err = _reference_sum(f, piece.knots[:-1], piece.knots[1:])
+    assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
+    assert err == ref_err
+
+
+def test_panel_set_zero_width_segments_add_nothing():
+    lo = np.array([0.0, 1.0, 1.0, 2.5, 3.0])
+    hi = np.array([1.0, 1.0, 2.5, 2.5, 2.0])  # two empty pairs, one reversed
+    value, err = adaptive_gauss_legendre(np.sqrt, lo, hi)
+    ref_value, ref_err = _reference_sum(np.sqrt, [0.0, 1.0], [1.0, 2.5])
+    assert abs(value - ref_value) <= 1e-14 * ref_value
+    assert err == ref_err
+    assert adaptive_gauss_legendre(np.sqrt, [1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0)
+
+
+def test_depth_cap_one_integrand_call_per_level():
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return t ** 0.2
+
+    value, err = adaptive_gauss_legendre(f, 0.0, 1.0)
+    assert len(calls) == 53  # depths 0..52: the cap is reached, silently
+    assert abs(value - 1.0 / 1.2) < 1e-10
+    ref_value, ref_err = _reference_dfs(lambda t: t ** 0.2, 0.0, 1.0)
+    assert abs(value - ref_value) <= 1e-14 * ref_value and err == ref_err
+
+
+@pytest.mark.parametrize("f", [lambda t: np.abs(t - 0.37) ** 0.5,
+                               lambda t: 1.0 / (t - (0.3 + 0.01j))], ids=["kink", "pole"])
+def test_panel_sums_in_depth_first_order(f):
+    # refinement on both sides of an interior point: panels must be added
+    # right to left, as the depth-first stack popped them, to match it exactly
+    assert adaptive_gauss_legendre(f, 0.0, 1.0) == _reference_dfs(f, 0.0, 1.0)
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Sizes of the integrand calls that integrate_weighted's quadrature makes."""
+    sizes = []
+    quadrature = measure_module.adaptive_gauss_legendre
+
+    def counting(f, *args, **kwargs):
+        def g(t):
+            sizes.append(np.size(t))
+            # fail fast where a missing breadth cap would run away
+            assert sizes[-1] <= 31 * measure_module._MAX_PANELS
+            return f(t)
+        return quadrature(g, *args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "adaptive_gauss_legendre", counting)
+    return sizes
+
+
+def test_breadth_cap_when_tol_is_below_round_off(integrand_calls):
+    # |density| ~ 1e8 puts the rule difference (round-off) above the absolute
+    # tol on every panel; the panel count doubles per level until the cap
+    # accepts the level, and the error estimate still reports what is left
+    piece = TablePiece((0.5, 1.0, 2.0), (1e8, 2e8, 1e8))
+    value, err = integrate_weighted(SpectralMeasure(pieces=(piece,)), INV_1PLUS_T)
+    oracle = _table_oracle(piece, INV_1PLUS_T)
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+    assert err > 1e-11
+    assert len(integrand_calls) < 53
+
+
 # -- weighted integrals -------------------------------------------------------
 
 def test_i2_closed_form(paper_measure):
@@ -96,6 +226,15 @@ def test_resolvent_complex_quad_oracle():
     assert abs(value - complex(re, im)) < 1e-8
 
 
+@pytest.mark.parametrize("z", [3.0 + 1e-3j, 0.5 + 1e-4j])
+def test_resolvent_near_support_closed_form(paper_measure, z, integrand_calls):
+    # integral dt / (pi sqrt(t) (t - z)) = (-z)**(-1/2); next to the pole the
+    # panels refine down to round-off, and the breadth cap ends the refinement
+    value, _ = integrate_weighted(paper_measure, Resolvent(z))
+    oracle = (-z) ** -0.5
+    assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+
 def test_b_divergence_is_analytic(paper_measure):
     value, err = integrate_weighted(paper_measure, INV_T)
     assert math.isinf(value) and value > 0
@@ -117,6 +256,50 @@ def test_table_piece_quad_oracle():
     oracle, _ = quad(lambda t: np.interp(t, piece.knots, piece.values) / (1.0 + t),
                      0.5, 2.0, points=[1.0])
     assert abs(value - oracle) < 1e-10
+
+
+def _table_oracle(piece, kernel):
+    """Sum of per-segment closed-form antiderivatives of (alpha + beta t) k(t)."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        pts = list(zip(piece.knots, piece.values))
+        for (t0, v0), (t1, v1) in zip(pts[:-1], pts[1:]):
+            t0, v0, t1, v1 = (mpmath.mpf(x) for x in (t0, v0, t1, v1))
+            beta = (v1 - v0) / (t1 - t0)
+            alpha = v0 - beta * t0
+            if kernel == INV_T:
+                log_part = alpha * mpmath.log(t1 / t0) if alpha != 0 else 0
+                total += log_part + beta * (t1 - t0)
+            elif kernel == INV_1PLUS_T:
+                total += (alpha - beta) * mpmath.log((1 + t1) / (1 + t0)) + beta * (t1 - t0)
+            elif kernel == INV_1PLUS_T2:
+                total += (alpha * (mpmath.atan(t1) - mpmath.atan(t0))
+                          + beta / 2 * mpmath.log((1 + t1 ** 2) / (1 + t0 ** 2)))
+            else:
+                z = mpmath.mpc(kernel.z.real, kernel.z.imag)
+                total += ((alpha + beta * z) * (mpmath.log(t1 - z) - mpmath.log(t0 - z))
+                          + beta * (t1 - t0))
+        return complex(total)
+
+
+@pytest.mark.parametrize("start, v0", [(0.6, 0.4), (0.0, 0.0)])
+@pytest.mark.parametrize("kernel", [INV_T, INV_1PLUS_T, INV_1PLUS_T2,
+                                    Resolvent(-0.7 + 1.3j)], ids=str)
+def test_200_knot_table_mpmath_oracle(start, v0, kernel):
+    piece = _jittered_table(20261018, start, 6.5, 200, v0)
+    value, _ = integrate_weighted(SpectralMeasure(pieces=(piece,)), kernel)
+    oracle = _table_oracle(piece, kernel)
+    assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("kernel", [INV_T, INV_1PLUS_T, INV_1PLUS_T2,
+                                    Resolvent(-0.7 + 1.3j)], ids=str)
+def test_200_knot_table_integral_is_a_few_integrand_calls(kernel, integrand_calls):
+    # one integrand call per refinement level, not one per knot segment
+    piece = _jittered_table(20261018, 0.0, 6.5, 200, 0.0)
+    integrate_weighted(SpectralMeasure(pieces=(piece,)), kernel)
+    assert 1 <= len(integrand_calls) <= 4
+    assert integrand_calls[0] == 199 * 31
 
 
 # -- moments ------------------------------------------------------------------
