@@ -9,8 +9,10 @@ exponent <= 1.
 
 Weighted integrals use breadth-first adaptive Gauss-Legendre quadrature on
 root panels (a table's knot segments, each to its own tolerance); capped
-refinement ends silently, its error still counted.  Substitutions remove
-endpoint singularities and the tail; 1/t divergence is decided analytically.
+refinement ends silently, its error still counted.  A resolvent over an
+array of z is one quadrature with one integrand row per z, each row
+accepting its own panels.  Substitutions remove endpoint singularities and
+the tail; 1/t divergence is decided analytically.
 """
 from __future__ import annotations
 
@@ -60,9 +62,13 @@ DEFAULT_TOL = 1e-11
 
 @dataclass(frozen=True)
 class Resolvent:
-    """Kernel 1/(t - z) for a fixed z off [0, +inf)."""
+    """Kernel 1/(t - z) for a fixed z off [0, +inf), or for each z of a 1-D array."""
 
     z: complex
+
+    def __post_init__(self):
+        if np.ndim(self.z):  # a tuple keeps the kernel hashable and comparable
+            object.__setattr__(self, "z", tuple(self.z))
 
 
 Kernel = Union[str, Resolvent]
@@ -213,21 +219,30 @@ class ClassTag:
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_NODES_HI, _NODES_LO])
+_WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 
-#: Breadth cap: most panels one refinement level may hold (or the root count,
-#: if larger).  Past it, tol is below the round-off of the integrand: a panel
-#: is bisected while its rule difference exceeds tol times its share of its
-#: root's width, and that share halves with every level.
+#: Breadth cap: most (panel, row) pairs one refinement level may hold (or the
+#: root count times the rows, if larger).  Past it, tol is below the round-off
+#: of the integrand: a panel is bisected while its rule difference exceeds tol
+#: times its share of its root's width, and that share halves with every level.
 _MAX_PANELS = 1 << 14
 
 
 def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52):
     """Integrate a vectorized f over root panels [lo, hi] (scalars or 1-D arrays).
 
-    Each root gets absolute tolerance tol (hi <= lo adds 0).  Each depth level is one
-    call of f on the 10- and 21-point Gauss-Legendre nodes (not nested) of all active
-    panels; depth and breadth caps accept a level silently, its error still summed.
-    Sums run right to left per root, then by root.  Returns (value, err); complex iff f is.
+    f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel
+    parameter, integrated over the same roots.  Each row and root gets absolute
+    tolerance tol (hi <= lo adds 0).  Each depth level is one call of f on the 10- and
+    21-point Gauss-Legendre nodes (not nested) of every panel that some row still
+    needs; a row accepts or bisects each of its panels by its own rule difference, so
+    it gets the panels, value and error a call with that row alone would give, unless
+    the breadth cap ends the refinement first.  Depth and breadth caps accept a level
+    silently, its error still summed; the breadth cap counts the (panel, row) pairs of
+    the next level's call against max(_MAX_PANELS, n * len(lo)), which bounds its
+    memory for any n.  Sums run right to left per root, then by root, per row.
+    Returns (value, err), each of shape (n,) (scalars if f returns 1-D); complex iff
+    f is.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
     width0 = hi - lo
@@ -235,35 +250,56 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
     if not root.size:
         return 0.0, 0.0
     a, b = lo[root], hi[root]
+    need = True  # (row, panel) pairs still open: at depth 0, all of them
     levels = []  # (accepted mask, root, left end, value, error) per depth level
     for depth in range(max_depth + 1):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        fx = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(root.size, -1)
-        i_hi = half * (_WEIGHTS_HI * fx[:, :_NODES_HI.size]).sum(axis=1)
-        i_lo = half * (_WEIGHTS_LO * fx[:, _NODES_HI.size:]).sum(axis=1)
+        y = f((mid[:, None] + half[:, None] * _NODES).ravel())
+        # one line of nodes per (row, panel); a 1-D y has no row axis
+        wf = _WEIGHTS * y.reshape(y.shape[:-1] + (root.size, _NODES.size))
+        i_hi = half * wf[..., :_NODES_HI.size].sum(axis=-1)
+        i_lo = half * wf[..., _NODES_HI.size:].sum(axis=-1)
         d = i_hi - i_lo
         e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
         split = ~(e <= tol * ((b - a) / width0[root]))
+        bisect = split
+        if y.ndim > 1:  # rows share the panels; each splits only those it still needs
+            split &= need
+            bisect = split.any(axis=0)
+        n_bisect = np.count_nonzero(bisect)
+        rows = split.size // root.size
         # depth and breadth caps: accept the rest as they stand; their e still counts
-        split &= depth < max_depth and 2 * np.count_nonzero(split) <= max(_MAX_PANELS, lo.size)
-        levels.append((~split, root, a, i_hi, e))
-        root = root[split]
-        if not root.size:
+        if depth == max_depth or 2 * n_bisect * rows > max(_MAX_PANELS, rows * lo.size):
+            split[...] = n_bisect = 0
+        levels.append((need ^ split, root, a, i_hi, e))  # split is a subset of need
+        if not n_bisect:
             break
-        a, mid, b = a[split], mid[split], b[split]
+        if y.ndim > 1:
+            need = split[:, bisect]
+            need = np.concatenate((need, need), axis=1)
+        root, a, mid, b = root[bisect], a[bisect], mid[bisect], b[bisect]
         root, a, b = (np.concatenate(x) for x in ((root, root), (a, mid), (mid, b)))
-    ok, root, left, i_hi, e = (np.concatenate(x) for x in zip(*levels))
-    order = np.lexsort((-left[ok], root[ok]))
-    value, err = np.zeros(lo.size, dtype=i_hi.dtype), np.zeros(lo.size)
-    np.add.at(value, root[ok][order], i_hi[ok][order])  # in index order, one by one
-    np.add.at(err, root[ok][order], e[ok][order])
-    return value.cumsum()[-1], err.cumsum()[-1]
+    ok, root, left, i_hi, e = (np.concatenate(x, axis=-1) for x in zip(*levels))
+    row, panel = ok.reshape(rows, -1).nonzero()
+    at = row * lo.size + root[panel]  # flat (row, root) slot
+    order = np.lexsort((-left[panel], at))
+    at = at[order]
+    value, err = np.zeros(rows * lo.size, dtype=i_hi.dtype), np.zeros(rows * lo.size)
+    np.add.at(value, at, i_hi[ok][order])  # in index order, one by one
+    np.add.at(err, at, e[ok][order])
+    shape = y.shape[:-1] + lo.shape  # (rows, roots), or (roots,) for one row
+    return value.reshape(shape).cumsum(axis=-1).T[-1], err.reshape(shape).cumsum(axis=-1).T[-1]
+
+
+def _z_column(kernel: Resolvent) -> np.ndarray:
+    """z as a column, so that t - z has one row per z (none for a scalar z)."""
+    return np.asarray(kernel.z, dtype=complex)[..., None]
 
 
 def _kernel_callable(kernel: Kernel) -> Callable:
     if isinstance(kernel, Resolvent):
-        z = complex(kernel.z)
+        z = _z_column(kernel)
         return lambda t: 1.0 / (t - z)
     if kernel == INV_T:
         return lambda t: 1.0 / t
@@ -314,7 +350,7 @@ def _tail_integral(tail: Tail, kernel: Kernel, tol: float):
     # substitution v = (T/t)**s maps [T, inf) onto (0, 1] and flattens the
     # integrand: integral = c*T**(1-s)/s * int_0^1 g(v) dv
     if isinstance(kernel, Resolvent) or kernel == INV_1PLUS_T:
-        z = complex(kernel.z) if isinstance(kernel, Resolvent) else -1.0
+        z = _z_column(kernel) if isinstance(kernel, Resolvent) else -1.0
         g = lambda v: 1.0 / (T - z * np.power(v, 1.0 / s))
     else:  # INV_1PLUS_T2; integrate_weighted has rejected unknown kernels
         g = lambda v: np.power(v, 1.0 / s) / (np.power(v, 2.0 / s) + T * T)
@@ -329,12 +365,19 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
 
     Returns (value, error_estimate).  The value is +inf (extended real) when
     the 1/t moment diverges at the origin, and complex for a resolvent kernel
-    with nonzero imaginary part.
+    with nonzero imaginary part.  A resolvent whose z is a 1-D array gives one
+    complex value and error per z, in one quadrature pass, each as a scalar z
+    would give it.
     """
     if isinstance(kernel, Resolvent):
-        z = complex(kernel.z)
-        if z.imag == 0.0 and z.real >= 0.0:
-            raise PoleOnSupport(f"resolvent point z={z} lies on [0, +inf)")
+        z = np.asarray(kernel.z, dtype=complex)
+        if z.ndim > 1 or not z.size:
+            raise ValidationError(f"resolvent: expected a point or a 1-D array of them, got {z!r}")
+        for zj in z.ravel().tolist():
+            if not (math.isfinite(zj.real) and math.isfinite(zj.imag)):
+                raise ValidationError(f"resolvent point z={zj} is not finite")
+            if zj.imag == 0.0 and zj.real >= 0.0:
+                raise PoleOnSupport(f"resolvent point z={zj} lies on [0, +inf)")
     # re-run the cheap analytic integrability guard (measures may have been
     # built with validate=False)
     for piece in sigma.pieces:
@@ -351,8 +394,9 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
     kf = _kernel_callable(kernel)
     value = 0.0
     err = 0.0
-    for atom in sigma.atoms:
-        value = value + atom.w * kf(atom.t)
+    at_atoms = kf(np.array([atom.t for atom in sigma.atoms])).T  # one entry per atom
+    for atom, k in zip(sigma.atoms, at_atoms):
+        value = value + atom.w * k
     for piece in sigma.pieces:
         if isinstance(piece, PowerLawPiece):
             v, e = _powerlaw_integral(piece, kernel, kf, tol)
@@ -366,7 +410,9 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
         v, e = _tail_integral(sigma.tail, kernel, tol)
         value = value + v
         err += e
-    if isinstance(kernel, Resolvent) and complex(kernel.z).imag != 0.0:
+    if isinstance(kernel, Resolvent) and z.ndim:
+        return value + np.zeros(z.shape, complex), err + np.zeros(z.shape)
+    if isinstance(kernel, Resolvent) and z.imag != 0.0:
         return complex(value), err
     return float(np.real(value)), err
 

@@ -52,23 +52,28 @@ def log_polar_grid(n_radius: int = 7, n_angle: int = 7,
     return [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
 
 
-def eval_V(f: StieltjesLikeFunction, z: complex, tol: float = DEFAULT_TOL) -> complex:
-    """Evaluate V at a point off [0, +inf)."""
-    value, _ = integrate_weighted(f.sigma, Resolvent(complex(z)), tol)
-    return f.gamma + complex(value)
+def eval_V(f: StieltjesLikeFunction, z, tol: float = DEFAULT_TOL):
+    """Evaluate V at a point off [0, +inf), or at each point of a 1-D array.
+
+    An array takes one quadrature pass for all its points and returns a complex
+    array whose entries equal the scalar calls bit for bit.
+    """
+    value, _ = integrate_weighted(f.sigma, Resolvent(z), tol)
+    return f.gamma + (value if np.ndim(value) else complex(value))
 
 
 def _sampled_min(f: StieltjesLikeFunction, grid, tol: float, value) -> CheckReport:
     """Smallest value(z, V(z)) over a grid in the upper half-plane."""
-    if grid is None:
-        grid = log_polar_grid()
+    grid = [complex(z) for z in (log_polar_grid() if grid is None else grid)]
+    if not grid:
+        raise ValidationError("empty grid: nothing to check")
+    for z in grid:
+        if not z.imag > 0:
+            raise ValidationError(f"grid point {z} not in the upper half-plane")
     worst = math.inf
     argmin = complex(0, 1)
-    for z in grid:
-        z = complex(z)
-        if z.imag <= 0:
-            raise ValidationError(f"grid point {z} not in the upper half-plane")
-        v = value(z, eval_V(f, z))
+    for z, v in zip(grid, eval_V(f, grid).tolist()):
+        v = value(z, v)
         if v < worst:
             worst, argmin = v, z
     return CheckReport(passed=(worst >= -tol), min_value=worst,

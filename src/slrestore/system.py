@@ -52,7 +52,7 @@ class SystemParams:
     theta_expected: Optional[float] = None
 
     def __post_init__(self):
-        if self.h.imag <= 0:
+        if not self.h.imag > 0:
             raise ValidationError(f"h={self.h} must have Im h > 0")
         if not math.isinf(self.mu) and self.theta_expected is not None:
             eta = quasi_kernel_eta(self.h, self.mu)
@@ -197,12 +197,16 @@ class VerifyReport:
 def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
                        sample_z: Sequence[complex], tol: float = 1e-6,
                        class_tag: Optional[ClassTag] = None) -> VerifyReport:
-    """Max |V_model - V_input| over the samples, plus the quasi-kernel residual."""
+    """Max |V_model - V_input| over the samples, plus the quasi-kernel residual.
+
+    V_input comes from one eval_V call for all samples.
+    """
+    sample_z = [complex(z) for z in sample_z]
+    if not sample_z:
+        raise ValidationError("verify_realization: no sample points")
     samples = []
     worst = 0.0
-    for z in sample_z:
-        z = complex(z)
-        v_in = eval_V(f, z)
+    for z, v_in in zip(sample_z, eval_V(f, sample_z).tolist()):
         v_model = impedance_V(p, z)
         samples.append(SampleResidual(z=z, v_in=v_in, v_model=v_model))
         worst = max(worst, abs(v_model - v_in))

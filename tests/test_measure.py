@@ -155,6 +155,43 @@ def test_panel_sums_in_depth_first_order(f):
     assert adaptive_gauss_legendre(f, 0.0, 1.0) == _reference_dfs(f, 0.0, 1.0)
 
 
+_ROW_PARAMS = np.array([0.13, 0.37, 0.81, 1.7])
+
+
+def _hidden_bump(t):
+    """A hat on [0.5167, 0.5567]: no depth-0 node of [0, 1] sees it, some depth-1 node does."""
+    return np.maximum(0.0, 1.0 - np.abs(t - 0.5367) / 0.02)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda t: np.abs(t - _ROW_PARAMS[:, None]) ** 0.5,
+    lambda t: 1.0 / (t - (_ROW_PARAMS[:, None] + 0.01j)),
+    lambda t: np.power(t, _ROW_PARAMS[:, None]),
+    lambda t: np.stack([_hidden_bump(t) + 0j, 1.0 / (t - (0.53 + 0.01j))]),
+], ids=["kinks", "poles", "powers", "accepted-row-stays-accepted"])
+def test_vector_rows_equal_scalar_reference(rows):
+    # each row refines around its own point (or to the depth cap at 0), so the
+    # levels' panel sets differ per row; every row must still get the scalar
+    # loop's value and error exactly.  In the last case the bump row accepts
+    # [0, 1] at once, and must not take up the panels the pole row refines.
+    value, err = adaptive_gauss_legendre(rows, 0.0, 1.0)
+    assert value.shape == err.shape == (len(rows(np.zeros(1))),)
+    for j in range(len(value)):
+        ref_value, ref_err = _reference_dfs(lambda t: rows(t)[j], 0.0, 1.0)
+        assert value[j] == ref_value and err[j] == ref_err
+
+
+def test_vector_rows_on_root_panels_equal_the_scalar_calls():
+    piece = _jittered_table(11, 0.0, 3.0, 40, 0.0)
+    knots = np.asarray(piece.knots)
+    z = np.array([0.4 + 0.05j, 1.9 + 0.02j, -1.0 + 0.5j])
+    value, err = adaptive_gauss_legendre(
+        lambda t: piece.density(t) / (t - z[:, None]), knots[:-1], knots[1:])
+    for j, zj in enumerate(z):
+        assert (value[j], err[j]) == adaptive_gauss_legendre(
+            lambda t: piece.density(t) / (t - zj), knots[:-1], knots[1:])
+
+
 @pytest.fixture
 def integrand_calls(monkeypatch):
     """Sizes of the integrand calls that integrate_weighted's quadrature makes."""
@@ -368,6 +405,35 @@ def test_pole_on_support(paper_measure):
         integrate_weighted(paper_measure, Resolvent(2.0))
     with pytest.raises(PoleOnSupport):
         integrate_weighted(paper_measure, Resolvent(0.0))
+    with pytest.raises(PoleOnSupport, match=r"z=\(2\+0j\)"):
+        integrate_weighted(paper_measure, Resolvent(np.array([1j, -1.0, 2.0, 3j])))
+
+
+def test_resolvent_over_an_array_is_a_value():
+    kernel = Resolvent(np.array([1j, -2.0 + 0.5j]))
+    assert kernel == Resolvent([1j, -2.0 + 0.5j])
+    assert hash(kernel) == hash(Resolvent((1j, -2.0 + 0.5j)))
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                 complex(-1.0, math.nan)], ids=str)
+def test_non_finite_z_is_rejected_before_any_quadrature(paper_measure, bad,
+                                                        integrand_calls):
+    for z in (bad, np.array([1j, -2.0 + 0.5j, bad])):
+        with pytest.raises(ValidationError, match="not finite") as info:
+            integrate_weighted(paper_measure, Resolvent(z))
+        assert str(bad) in str(info.value)
+    assert integrand_calls == []
+
+
+def test_resolvent_array_near_support_is_bounded(paper_measure, integrand_calls):
+    # 20 poles 1e-3 above the support: every row refines to round-off, and the
+    # breadth cap, counted over (panel, row) pairs, bounds each level's call
+    z = np.linspace(0.2, 5.0, 20) + 1e-3j
+    value, err = integrate_weighted(paper_measure, Resolvent(z))
+    oracle = (-z) ** -0.5
+    assert np.all(np.abs(value - oracle) <= 1e-12 * np.abs(oracle))
+    assert max(integrand_calls) * z.size <= 31 * measure_module._MAX_PANELS
 
 
 def test_non_integrable_at_construction():

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
+import slrestore.measure as measure_module
 from slrestore.errors import PoleOnSupport, ValidationError
-from slrestore.measure import SpectralMeasure, TablePiece
+from slrestore.measure import Atom, PowerLawPiece, SpectralMeasure, TablePiece, Tail
 from slrestore.stieltjes import (
     StieltjesLikeFunction,
     asymptotics,
@@ -66,6 +67,80 @@ def test_eval_pole_on_support(paper_function):
         eval_V(paper_function, 3.0)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                               complex(-1.0, math.nan)], ids=str)
+def test_eval_non_finite_z_is_rejected(paper_function, z):
+    with pytest.raises(ValidationError, match="not finite"):
+        eval_V(paper_function, z)
+
+
+@pytest.mark.parametrize("zs", [[], [[1j, 2j]]], ids=["empty", "2-d"])
+def test_eval_array_must_be_1d_and_non_empty(paper_function, zs):
+    with pytest.raises(ValidationError, match="1-D array"):
+        eval_V(paper_function, zs)
+
+
+def _table_with_atoms_and_tail():
+    rng = np.random.default_rng(5)
+    knots = np.linspace(0.0, 6.5, 200)
+    knots[1:-1] += rng.uniform(-0.3, 0.3, 198) * (knots[1] - knots[0])
+    values = np.concatenate([[0.0], rng.uniform(0.05, 1.0, 199)])
+    return SpectralMeasure(atoms=(Atom(0.8, 0.3), Atom(4.1, 0.2)),
+                           pieces=(TablePiece(tuple(knots), tuple(values)),),
+                           tail=Tail(6.5, 0.7, 0.6), declared_infinite_mass=True)
+
+
+_ARRAY_CASES = {
+    "worked-example": lambda paper: StieltjesLikeFunction(paper, 0.0),
+    "table-atoms-tail": lambda paper: StieltjesLikeFunction(_table_with_atoms_and_tail(), -0.4),
+    "power-law-e-positive": lambda paper: StieltjesLikeFunction(
+        SpectralMeasure(pieces=(PowerLawPiece(0.0, 1.0, 0.8, 0.35),),
+                        tail=Tail(1.0, 0.8, 0.5)), 1.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARRAY_CASES))
+def test_eval_array_equals_scalar_calls_bit_for_bit(case, paper_measure):
+    f = _ARRAY_CASES[case](paper_measure)
+    grid = log_polar_grid(5, 4)
+    values = eval_V(f, grid)
+    assert values.shape == (20,) and values.dtype == complex
+    scalar = np.array([eval_V(f, z) for z in grid])
+    assert np.array_equal(values.view(np.uint64), scalar.view(np.uint64))
+
+
+def test_eval_array_closed_form(paper_function):
+    grid = np.array(log_polar_grid(5, 4))
+    oracle = (-grid) ** -0.5
+    assert np.all(np.abs(eval_V(paper_function, grid) - oracle) <= 1e-12 * np.abs(oracle))
+
+
+def test_eval_array_one_integrand_call_per_level(paper_function, monkeypatch):
+    # the array call takes, per root integral (piece, tail), one integrand call
+    # per depth level: as many as its deepest point needs alone
+    calls = []
+    quadrature = measure_module.adaptive_gauss_legendre
+
+    def counting(f, *args, **kwargs):
+        calls.append(0)
+
+        def g(t):
+            calls[-1] += 1
+            return f(t)
+        return quadrature(g, *args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "adaptive_gauss_legendre", counting)
+    grid = log_polar_grid(5, 4)
+    eval_V(paper_function, grid)
+    array_calls = list(calls)
+    calls.clear()
+    for z in grid:
+        eval_V(paper_function, z)
+    per_z = np.array(calls).reshape(len(grid), -1)
+    assert array_calls == per_z.max(axis=0).tolist()
+    assert len(array_calls) == 2 and sum(array_calls) < per_z.sum() / 5
+
+
 # -- sampled checks -----------------------------------------------------------
 
 def test_herglotz_paper(paper_function):
@@ -108,6 +183,12 @@ def test_checks_reject_lower_half_plane(paper_function):
         check_herglotz(paper_function, grid=[1.0 - 1.0j])
     with pytest.raises(ValidationError):
         check_stieltjes(paper_function, grid=[1.0 - 1.0j])
+
+
+@pytest.mark.parametrize("check", [check_herglotz, check_stieltjes])
+def test_checks_reject_an_empty_grid(paper_function, check):
+    with pytest.raises(ValidationError, match="empty grid"):
+        check(paper_function, grid=[])
 
 
 def test_log_polar_grid_shape():

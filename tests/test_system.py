@@ -51,6 +51,8 @@ def test_transfer_at_diagnostic_point(paper_params):
 def test_real_h_is_rejected():
     with pytest.raises(ValidationError):
         SystemParams(h=1.0 + 0.0j, mu=INF, m_fn=_m_closed)
+    with pytest.raises(ValidationError, match="Im h > 0"):
+        SystemParams(h=complex(0.5, math.nan), mu=INF, m_fn=_m_closed)
 
 
 def test_transfer_unimodular_for_real_m():
@@ -199,6 +201,12 @@ def test_verify_detects_perturbed_h(paper_measure, paper_params):
     perturbed = SystemParams(h=paper_params.h + 0.1, mu=INF, m_fn=_m_closed)
     bad = verify_realization(f, perturbed, grid, tol=1e-6)
     assert not bad.passed and bad.max_residual > 1e-2
+
+
+def test_verify_on_no_samples_is_an_error(paper_measure, paper_params):
+    f = StieltjesLikeFunction(sigma=paper_measure, gamma=0.0)
+    with pytest.raises(ValidationError, match="no sample points"):
+        verify_realization(f, paper_params, [])
 
 
 def test_verify_report_json_shape(paper_measure, paper_params):
