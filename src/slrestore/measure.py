@@ -11,17 +11,20 @@ Weighted integrals use breadth-first adaptive Gauss-Legendre quadrature on
 root panels (a table's knot segments, each to its own tolerance); capped
 refinement ends silently, its error still counted.  A resolvent over an
 array of z is one quadrature with one integrand row per z, each row
-accepting its own panels.  Substitutions remove endpoint singularities and
-the tail; 1/t divergence is decided analytically.
+accepting its own panels.  Power laws and the tail integrate in u = sqrt(t) or
+sqrt(T/t) with a Gauss-Jacobi origin panel, or in closed form against 1/t; 1/t
+divergence is decided analytically.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DivergentAtOrigin,
@@ -89,9 +92,6 @@ class PowerLawPiece:
     coeff: float
     exponent: float
 
-    def density(self, t):
-        return self.coeff * np.power(t, self.exponent)
-
 
 @dataclass(frozen=True)
 class TablePiece:
@@ -121,6 +121,12 @@ class Tail:
     exponent: float
 
 
+def _check_finite(where: str, **fields) -> None:
+    for name, x in fields.items():
+        if not all(map(math.isfinite, (x,) if isinstance(x, numbers.Real) else x)):
+            raise ValidationError(f"{where}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Nonnegative measure on [0, +inf), immutable after construction.
@@ -142,13 +148,19 @@ class SpectralMeasure:
             self._check()
 
     def _check(self) -> None:
-        for atom in self.atoms:
+        for i, atom in enumerate(self.atoms):
+            _check_finite(f"atom {i}", **vars(atom))
             if atom.t < 0:
                 raise ValidationError(f"atom location {atom.t} < 0")
             if atom.w <= 0:
                 raise ValidationError(f"atom weight {atom.w} <= 0")
         prev_hi = 0.0
         for i, piece in enumerate(self.pieces):
+            if not isinstance(piece, (PowerLawPiece, TablePiece)):
+                raise ValidationError(f"piece {i}: unknown piece type {type(piece)!r}")
+            if isinstance(piece, TablePiece) and not 2 <= len(piece.knots) == len(piece.values):
+                raise ValidationError(f"piece {i}: knots/values size mismatch")
+            _check_finite(f"piece {i}", **vars(piece))
             if piece.lo < 0 or piece.hi <= piece.lo:
                 raise ValidationError(f"piece {i}: bad interval [{piece.lo}, {piece.hi}]")
             if i > 0 and piece.lo < prev_hi - 1e-15:
@@ -162,18 +174,15 @@ class SpectralMeasure:
                         f"piece {i}: exponent {piece.exponent} <= -1 at the origin "
                         "makes the 1/(1+t) moment diverge"
                     )
-            elif isinstance(piece, TablePiece):
+            else:
                 knots = np.asarray(piece.knots, dtype=float)
                 values = np.asarray(piece.values, dtype=float)
-                if knots.size != values.size or knots.size < 2:
-                    raise ValidationError(f"piece {i}: knots/values size mismatch")
                 if np.any(np.diff(knots) <= 0):
                     raise ValidationError(f"piece {i}: knots not strictly increasing")
                 if np.any(values < 0):
                     raise ValidationError(f"piece {i}: negative density value")
-            else:
-                raise ValidationError(f"piece {i}: unknown piece type {type(piece)!r}")
         if self.tail is not None:
+            _check_finite("tail", **vars(self.tail))
             if self.tail.threshold <= 0:
                 raise ValidationError("tail threshold must be positive")
             if self.tail.coeff <= 0:
@@ -228,8 +237,24 @@ _WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 _MAX_PANELS = 1 << 14
 
 
-def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52):
-    """Integrate a vectorized f over root panels [lo, hi] (scalars or 1-D arrays).
+@functools.lru_cache(maxsize=64)
+def _jacobi_rule(p: float):
+    """21- then 10-point Gauss-Jacobi rules for (1 + x)**p on [-1, 1] (p != 0) by Golub-Welsch."""
+    # eigenvalues and first eigenvector components of the Jacobi matrix: scipy's
+    # roots_jacobi weights lose up to 1e-11 relative near p = -1, these keep 1e-14
+    rules = []
+    for n in (21, 10):
+        k = np.arange(n, dtype=float)
+        s = 2.0 * k + p  # s[0] = p, so the first diagonal entry is p / (p + 2)
+        x, v = eigh_tridiagonal(p * p / (s * (s + 2.0)),
+                                2.0 * k[1:] * (k[1:] + p) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0)))
+        rules.append((x, v[0] ** 2 * (2.0 ** (p + 1.0) / (p + 1.0))))
+    return tuple(np.concatenate(r) for r in zip(*rules))
+
+
+def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52,
+                            exponent: float = 0.0):
+    """Integrate t**exponent * f(t) over root panels [lo, hi] (scalars or 1-D arrays).
 
     f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel
     parameter, integrated over the same roots.  Each row and root gets absolute
@@ -241,8 +266,9 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
     silently, its error still summed; the breadth cap counts the (panel, row) pairs of
     the next level's call against max(_MAX_PANELS, n * len(lo)), which bounds its
     memory for any n.  Sums run right to left per root, then by root, per row.
-    Returns (value, err), each of shape (n,) (scalars if f returns 1-D); complex iff
-    f is.
+    An exponent weights f by t**exponent (lo >= 0); a panel from 0 takes the cached
+    21/10-point Gauss-Jacobi pair for it (exponent > -1).  Returns (value, err), each
+    of shape (n,) (scalars if f returns 1-D); complex iff f is.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
     width0 = hi - lo
@@ -255,9 +281,16 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
     for depth in range(max_depth + 1):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        y = f((mid[:, None] + half[:, None] * _NODES).ravel())
+        t = mid[:, None] + half[:, None] * _NODES
+        weights = _WEIGHTS * t ** exponent if exponent else _WEIGHTS
+        # a rule is built only for a panel from 0, so roots with lo > 0 take any exponent
+        if exponent and (at0 := a == 0.0).any():
+            nodes, jacobi = _jacobi_rule(exponent)
+            t[at0] = half[at0, None] * (1.0 + nodes)
+            weights[at0] = jacobi * half[at0, None] ** exponent
+        y = f(t.ravel())
         # one line of nodes per (row, panel); a 1-D y has no row axis
-        wf = _WEIGHTS * y.reshape(y.shape[:-1] + (root.size, _NODES.size))
+        wf = weights * y.reshape(y.shape[:-1] + (root.size, _NODES.size))
         i_hi = half * wf[..., :_NODES_HI.size].sum(axis=-1)
         i_lo = half * wf[..., _NODES_HI.size:].sum(axis=-1)
         d = i_hi - i_lo
@@ -292,14 +325,9 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
     return value.reshape(shape).cumsum(axis=-1).T[-1], err.reshape(shape).cumsum(axis=-1).T[-1]
 
 
-def _z_column(kernel: Resolvent) -> np.ndarray:
-    """z as a column, so that t - z has one row per z (none for a scalar z)."""
-    return np.asarray(kernel.z, dtype=complex)[..., None]
-
-
 def _kernel_callable(kernel: Kernel) -> Callable:
     if isinstance(kernel, Resolvent):
-        z = _z_column(kernel)
+        z = np.asarray(kernel.z, dtype=complex)[..., None]  # one row per z, if an array
         return lambda t: 1.0 / (t - z)
     if kernel == INV_T:
         return lambda t: 1.0 / t
@@ -321,41 +349,20 @@ def _b_divergent(sigma: SpectralMeasure) -> bool:
     return False
 
 
-def _powerlaw_inv_t(piece: PowerLawPiece) -> float:
-    # integrand coeff * t**(exponent - 1) has an elementary antiderivative
-    e = piece.exponent
-    if piece.lo == 0.0:
-        return piece.coeff * piece.hi ** e / e  # e > 0 guaranteed by caller
-    if e == 0.0:
-        return piece.coeff * math.log(piece.hi / piece.lo)
-    return piece.coeff * (piece.hi ** e - piece.lo ** e) / e
-
-
-def _powerlaw_integral(piece: PowerLawPiece, kernel: Kernel, kf, tol: float):
-    if kernel == INV_T:
-        return _powerlaw_inv_t(piece), 0.0
-    if piece.lo == 0.0 and piece.exponent < 0.0:
-        # t = u**(1/(1+e)) removes the origin singularity exactly
-        p = 1.0 + piece.exponent
-        g = lambda u: kf(np.power(u, 1.0 / p))
-        val, err = adaptive_gauss_legendre(g, 0.0, piece.hi ** p, tol)
-        return (piece.coeff / p) * val, abs(piece.coeff / p) * err
-    return adaptive_gauss_legendre(lambda t: piece.density(t) * kf(t), piece.lo, piece.hi, tol)
-
-
-def _tail_integral(tail: Tail, kernel: Kernel, tol: float):
-    T, c, s = tail.threshold, tail.coeff, tail.exponent
-    if kernel == INV_T:
-        return c * T ** (-s) / s, 0.0
-    # substitution v = (T/t)**s maps [T, inf) onto (0, 1] and flattens the
-    # integrand: integral = c*T**(1-s)/s * int_0^1 g(v) dv
-    if isinstance(kernel, Resolvent) or kernel == INV_1PLUS_T:
-        z = _z_column(kernel) if isinstance(kernel, Resolvent) else -1.0
-        g = lambda v: 1.0 / (T - z * np.power(v, 1.0 / s))
-    else:  # INV_1PLUS_T2; integrate_weighted has rejected unknown kernels
-        g = lambda v: np.power(v, 1.0 / s) / (np.power(v, 2.0 / s) + T * T)
-    pref = c * T ** (1.0 - s) / s
-    val, err = adaptive_gauss_legendre(g, 0.0, 1.0, tol)
+def _power_integral(kernel: Kernel, kf, lo: float, hi: float, c: float, e: float, tol: float):
+    """Integral of c * t**e * k(t) over [lo, hi]; hi = inf for the tail."""
+    if kernel == INV_T:  # elementary antiderivative; lo = 0 only with e > 0 (_b_divergent)
+        if e == 0.0:
+            return c * math.log(hi / lo), 0.0
+        return c * (hi ** e - lo ** e) / e, 0.0
+    # a smooth function of u times u**p, for every kernel
+    if math.isinf(hi):  # t = lo/u**2: c t**e k(t) dt = 2c lo**(1+e) u**(-2e-1) k(lo/u**2)/u**2 du
+        pref, u0, u1, p = 2.0 * c * lo ** (1.0 + e), 0.0, 1.0, -2.0 * e - 1.0
+        g = lambda u: kf(lo / (u * u)) * (1.0 / (u * u))
+    else:  # t = u**2: c t**e k(t) dt = 2c u**(2e+1) k(u**2) du
+        pref, u0, u1, p = 2.0 * c, math.sqrt(lo), math.sqrt(hi), 2.0 * e + 1.0
+        g = lambda u: kf(u * u)
+    val, err = adaptive_gauss_legendre(g, u0, u1, tol, exponent=p)
     return pref * val, abs(pref) * err
 
 
@@ -399,7 +406,7 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
         value = value + atom.w * k
     for piece in sigma.pieces:
         if isinstance(piece, PowerLawPiece):
-            v, e = _powerlaw_integral(piece, kernel, kf, tol)
+            v, e = _power_integral(kernel, kf, piece.lo, piece.hi, piece.coeff, piece.exponent, tol)
         else:  # one call: every knot segment is a root panel
             knots = np.asarray(piece.knots)
             v, e = adaptive_gauss_legendre(lambda t: piece.density(t) * kf(t),
@@ -407,7 +414,8 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
         value = value + v
         err += e
     if sigma.tail is not None:
-        v, e = _tail_integral(sigma.tail, kernel, tol)
+        T, c, s = sigma.tail.threshold, sigma.tail.coeff, sigma.tail.exponent
+        v, e = _power_integral(kernel, kf, T, math.inf, c, -s, tol)  # c t**-s on [T, inf)
         value = value + v
         err += e
     if isinstance(kernel, Resolvent) and z.ndim:

@@ -96,6 +96,10 @@ class OperatorData:
     xi: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("theta", "m", "c", "xi"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValidationError(f"operator data: {name} must be finite, got {x}")
         if self.theta < -self.m - 1e-12:
             raise ValidationError(
                 f"theta={self.theta} < -m={-self.m}: the associated self-adjoint "
@@ -120,8 +124,8 @@ class WeylEvaluator:
     ode_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.ode_tol <= 0:
-            raise ValidationError("ode_tol must be positive")
+        if not 0.0 < self.ode_tol < math.inf:
+            raise ValidationError(f"ode_tol must be positive and finite, got {self.ode_tol}")
 
 
 @dataclass(frozen=True)

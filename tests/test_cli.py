@@ -240,11 +240,13 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
                "operator": SWEEP_OPERATOR}, "gamma_range: expected a number"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 10**400},
      "gamma: int too large to convert to float"),
+    ("classify", {"measure": {"pieces": [{"kind": "table", "knots": [], "values": []}]},
+                  "gamma": 0.0}, "piece 0: knots/values size mismatch"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
-        "gamma-int-overflow"])
+        "gamma-int-overflow", "table-no-knots"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here

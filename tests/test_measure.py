@@ -2,10 +2,12 @@
 
 Independent oracle: scipy.integrate.quad on explicitly substituted
 integrands, plus closed-form antiderivatives where they exist (evaluated in
-mpmath for the 200-knot tables).
+mpmath for the 200-knot tables, and as Gauss hypergeometric functions for
+power-law pieces and tails).
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -339,6 +341,61 @@ def test_200_knot_table_integral_is_a_few_integrand_calls(kernel, integrand_call
     assert integrand_calls[0] == 199 * 31
 
 
+def _hyp2f1_kernel_integral(kernel, e, h):
+    """Antiderivative of t**e k(t) at h, as a 2F1 in mpmath (e != -1)."""
+    e, h = mpmath.mpf(e), mpmath.mpf(h)
+    if kernel == INV_1PLUS_T2:
+        return h ** (e + 1) / (e + 1) * mpmath.hyp2f1(1, (e + 1) / 2, (e + 3) / 2, -h * h)
+    z = mpmath.mpf(-1) if kernel == INV_1PLUS_T else mpmath.mpc(kernel.z.real, kernel.z.imag)
+    return -h ** (e + 1) / (z * (e + 1)) * mpmath.hyp2f1(1, e + 1, e + 2, h / z)
+
+
+def _hyp2f1_tail_integral(kernel, s, T):
+    """Integral of t**-s k(t) over [T, inf), as a 2F1 in mpmath."""
+    s, T = mpmath.mpf(s), mpmath.mpf(T)
+    if kernel == INV_1PLUS_T2:
+        return T ** (-s - 1) / (s + 1) * mpmath.hyp2f1(1, (s + 1) / 2, (s + 3) / 2, -1 / (T * T))
+    z = mpmath.mpf(-1) if kernel == INV_1PLUS_T else mpmath.mpc(kernel.z.real, kernel.z.imag)
+    return T ** -s / s * mpmath.hyp2f1(1, s, s + 1, z / T)
+
+
+_ORACLE_KERNELS = [INV_1PLUS_T, INV_1PLUS_T2, Resolvent(-0.7 + 1.3j),
+                   Resolvent(cmath.rect(1e-3, 2.5)), Resolvent(cmath.rect(1e3, 0.6))]
+
+
+@pytest.mark.parametrize("kernel", _ORACLE_KERNELS, ids=str)
+@pytest.mark.parametrize("lo, hi, e", [(0.0, 0.7, -0.985), (0.0, 0.7, -0.8), (0.0, 0.7, -0.5),
+                                       (0.0, 0.7, 0.2), (0.0, 0.7, 0.5), (0.0, 0.7, 1.5),
+                                       (0.3, 0.9, -1.7), (0.3, 0.9, 0.35)])
+def test_power_law_piece_hypergeometric_oracle(kernel, lo, hi, e):
+    sigma = SpectralMeasure(pieces=(PowerLawPiece(lo, hi, 1.7, e),))
+    value, _ = integrate_weighted(sigma, kernel)
+    with mpmath.workdps(40):
+        oracle = 1.7 * (_hyp2f1_kernel_integral(kernel, e, hi)
+                        - (_hyp2f1_kernel_integral(kernel, e, lo) if lo else 0))
+        oracle = complex(oracle)
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
+
+@pytest.mark.parametrize("kernel", _ORACLE_KERNELS, ids=str)
+@pytest.mark.parametrize("s", [0.015, 0.2, 0.5, 1.0, 1.5])
+def test_tail_hypergeometric_oracle(kernel, s):
+    sigma = SpectralMeasure(tail=Tail(1.3, 0.8, s))
+    value, _ = integrate_weighted(sigma, kernel)
+    with mpmath.workdps(40):
+        oracle = complex(0.8 * _hyp2f1_tail_integral(kernel, s, 1.3))
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
+
+@pytest.mark.parametrize("kernel", [INV_1PLUS_T, INV_1PLUS_T2])
+def test_power_law_from_the_origin_takes_a_few_integrand_calls(kernel, integrand_calls):
+    # t**0.2 at 0 is a smooth function times u**1.4 in u = sqrt(t); the
+    # Gauss-Jacobi origin panel integrates it without refining towards 0
+    sigma = SpectralMeasure(pieces=(PowerLawPiece(0.0, 0.7, 1.0, 0.2),))
+    integrate_weighted(sigma, kernel)
+    assert 1 <= len(integrand_calls) <= 3
+
+
 # -- moments ------------------------------------------------------------------
 
 def test_moments_paper(paper_measure):
@@ -460,8 +517,26 @@ def test_validation_rejects_bad_inputs():
         SpectralMeasure(tail=Tail(1.0, 1.0, 2.0), declared_infinite_mass=True)
     with pytest.raises(ValidationError):
         SpectralMeasure(pieces=(TablePiece((0.0, 1.0), (1.0, -0.5)),))
+    for knots, values in [((), ()), ((0.5,), (1.0,)), ((0.0, 1.0), (1.0,))]:
+        with pytest.raises(ValidationError, match="size mismatch"):
+            SpectralMeasure(pieces=(TablePiece(knots, values),))
     with pytest.raises(ValidationError):
         SpectralMeasure(tail=Tail(1.0, 1.0, -0.5))
+    nan, inf = math.nan, math.inf
+    for bad, field in [(dict(atoms=(Atom(nan, 1.0),)), "atom 0: t"),
+                       (dict(atoms=(Atom(1.0, 1.0), Atom(2.0, inf))), "atom 1: w"),
+                       (dict(pieces=(PowerLawPiece(0.0, inf, 1.0, 0.5),)), "piece 0: hi"),
+                       (dict(pieces=(PowerLawPiece(nan, 1.0, 1.0, 0.5),)), "piece 0: lo"),
+                       (dict(pieces=(PowerLawPiece(0.0, 1.0, nan, 0.5),)), "piece 0: coeff"),
+                       (dict(pieces=(PowerLawPiece(0.0, 1.0, 1.0, nan),)), "piece 0: exponent"),
+                       (dict(pieces=(TablePiece((0.0, nan, 1.0), (1.0, 1.0, 1.0)),)),
+                        "piece 0: knots"),
+                       (dict(pieces=(TablePiece((0.0, 1.0), (1.0, inf)),)), "piece 0: values"),
+                       (dict(tail=Tail(inf, 1.0, 0.5)), "tail: threshold"),
+                       (dict(tail=Tail(1.0, nan, 0.5)), "tail: coeff"),
+                       (dict(tail=Tail(1.0, 1.0, nan)), "tail: exponent")]:
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SpectralMeasure(**bad)
 
 
 # -- invariants ---------------------------------------------------------------

@@ -264,11 +264,20 @@ def test_operator_data_validation():
         OperatorData(theta=0.0, m=0.0, c=-1.0)
     with pytest.raises(ValidationError):
         OperatorData(theta=0.0, m=0.0, xi=0.0)
+    for bad in (dict(theta=0.0, m=math.nan), dict(theta=math.inf, m=0.0),
+                dict(theta=0.0, m=0.0, c=math.nan), dict(theta=0.0, m=0.0, xi=math.nan),
+                dict(theta=0.0, m=0.0, c=1.0, xi=math.inf)):
+        name = next(k for k, v in bad.items() if not math.isfinite(v))
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            OperatorData(**bad)
 
 
 def test_evaluator_validation(zero_potential):
     with pytest.raises(ValidationError):
         WeylEvaluator(potential=zero_potential, ode_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="ode_tol"):
+            WeylEvaluator(potential=zero_potential, ode_tol=bad)
 
 
 def test_potential_validation():
