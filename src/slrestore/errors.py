@@ -28,6 +28,10 @@ class NotSL0(ValidationError):
     """Infinite total mass cannot be asserted for this measure."""
 
 
+class UnrepresentableMeasure(ValidationError):
+    """A piece, the tail or the atoms take an integral or a rule out of the float range."""
+
+
 # weyl ---------------------------------------------------------------------
 
 class OdeStepFailure(SlrestoreError):
@@ -40,6 +44,10 @@ class NegativeQInf(ValidationError):
 
 class NodeAtEndpoint(SlrestoreError):
     """The decaying solution (numerically) vanishes at the left endpoint."""
+
+
+class PropagationTooLong(SlrestoreError):
+    """A table propagation exceeds the work cap on (cutoff - a) sqrt(max |q - lambda|)."""
 
 
 class Unsupported(SlrestoreError):

@@ -31,6 +31,7 @@ from .errors import (
     NonIntegrable,
     NotSL0,
     PoleOnSupport,
+    UnrepresentableMeasure,
     ValidationError,
 )
 
@@ -51,6 +52,7 @@ __all__ = [
     "classify",
     "adaptive_gauss_legendre",
     "json_number",
+    "JsonField",
     "measure_from_json",
     "measure_to_json",
 ]
@@ -194,12 +196,9 @@ class SpectralMeasure:
                     raise ValidationError(
                         f"piece {i} extends past the tail threshold {self.tail.threshold}"
                     )
-        if self.declared_infinite_mass:
-            if self.tail is None or self.tail.exponent > 1.0:
-                raise ValidationError(
-                    "declared_infinite_mass requires a tail with exponent <= 1 "
-                    "(the only representable route to infinite mass)"
-                )
+        if self.declared_infinite_mass and (self.tail is None or self.tail.exponent > 1.0):
+            raise ValidationError("declared_infinite_mass requires a tail with exponent <= 1 "
+                                  "(the only representable route to infinite mass)")
 
     def is_empty(self) -> bool:
         return not self.atoms and not self.pieces and self.tail is None
@@ -246,8 +245,12 @@ def _jacobi_rule(p: float):
     for n in (21, 10):
         k = np.arange(n, dtype=float)
         s = 2.0 * k + p  # s[0] = p, so the first diagonal entry is p / (p + 2)
-        x, v = eigh_tridiagonal(p * p / (s * (s + 2.0)),
-                                2.0 * k[1:] * (k[1:] + p) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0)))
+        with np.errstate(all="ignore"):  # singular as p -> -1, overflows for large p
+            diag = p * p / (s * (s + 2.0))
+            off = 2.0 * k[1:] * (k[1:] + p) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+        if not (p + 1.0 < 1024.0 and np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise UnrepresentableMeasure(f"no Gauss-Jacobi rule for u**{p} in float range")
+        x, v = eigh_tridiagonal(diag, off)
         rules.append((x, v[0] ** 2 * (2.0 ** (p + 1.0) / (p + 1.0))))
     return tuple(np.concatenate(r) for r in zip(*rules))
 
@@ -339,7 +342,9 @@ def _kernel_callable(kernel: Kernel) -> Callable:
 
 
 def _b_divergent(sigma: SpectralMeasure) -> bool:
-    """Analytic divergence test for the 1/t moment (origin behavior only)."""
+    """Analytic divergence test for the 1/t moment at the origin (an atom there raises)."""
+    if any(atom.t == 0.0 for atom in sigma.atoms):
+        raise DivergentAtOrigin("atom at t=0 makes the 1/t moment undefined")
     for piece in sigma.pieces:
         if piece.lo == 0.0:
             if isinstance(piece, PowerLawPiece) and piece.exponent <= 0.0:
@@ -390,34 +395,36 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
     for piece in sigma.pieces:
         if isinstance(piece, PowerLawPiece) and piece.lo == 0.0 and piece.exponent <= -1.0:
             raise NonIntegrable("measure is not integrable against 1/(1+t)")
-    if kernel == INV_T:
-        for atom in sigma.atoms:
-            if atom.t == 0.0:
-                raise DivergentAtOrigin(
-                    "atom at t=0 makes the 1/t moment undefined"
-                )
-        if _b_divergent(sigma):
-            return math.inf, 0.0
+    if kernel == INV_T and _b_divergent(sigma):
+        return math.inf, 0.0
     kf = _kernel_callable(kernel)
-    value = 0.0
-    err = 0.0
-    at_atoms = kf(np.array([atom.t for atom in sigma.atoms])).T  # one entry per atom
-    for atom, k in zip(sigma.atoms, at_atoms):
-        value = value + atom.w * k
-    for piece in sigma.pieces:
-        if isinstance(piece, PowerLawPiece):
-            v, e = _power_integral(kernel, kf, piece.lo, piece.hi, piece.coeff, piece.exponent, tol)
-        else:  # one call: every knot segment is a root panel
-            knots = np.asarray(piece.knots)
-            v, e = adaptive_gauss_legendre(lambda t: piece.density(t) * kf(t),
-                                           knots[:-1], knots[1:], tol)
-        value = value + v
-        err += e
-    if sigma.tail is not None:
+    parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
+    if sigma.tail is not None:  # c t**-s on [T, inf)
         T, c, s = sigma.tail.threshold, sigma.tail.coeff, sigma.tail.exponent
-        v, e = _power_integral(kernel, kf, T, math.inf, c, -s, tol)  # c t**-s on [T, inf)
-        value = value + v
-        err += e
+        parts.append(("tail", PowerLawPiece(T, math.inf, c, -s)))
+    value, err, where = 0.0, 0.0, "atoms"
+    try:
+        with np.errstate(all="ignore"):  # a part out of float range is named below
+            for atom, k in zip(sigma.atoms, kf(np.array([atom.t for atom in sigma.atoms])).T):
+                value = value + atom.w * k
+            if not np.isfinite(value).all():
+                raise OverflowError
+            for where, piece in parts:
+                if isinstance(piece, PowerLawPiece):
+                    v, e = _power_integral(kernel, kf, piece.lo, piece.hi, piece.coeff,
+                                           piece.exponent, tol)
+                else:  # one call: every knot segment is a root panel
+                    knots = np.asarray(piece.knots)
+                    v, e = adaptive_gauss_legendre(lambda t: piece.density(t) * kf(t),
+                                                   knots[:-1], knots[1:], tol)
+                value, err = value + v, err + e
+                if not np.isfinite(value + err).all():  # err >= 0: NaN and inf show in the sum
+                    raise OverflowError
+    except (OverflowError, UnrepresentableMeasure) as exc:
+        name = kernel if isinstance(kernel, str) else "the resolvent"
+        raise UnrepresentableMeasure(
+            f"{where}: its integral against {name} or its quadrature rule is out of float range"
+        ) from exc
     if isinstance(kernel, Resolvent) and z.ndim:
         return value + np.zeros(z.shape, complex), err + np.zeros(z.shape)
     if isinstance(kernel, Resolvent) and z.imag != 0.0:
@@ -446,9 +453,6 @@ def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
         )
     if sigma.tail is None or sigma.tail.exponent > 1.0:
         raise NotSL0("declared infinite mass is inconsistent with the tail")
-    for atom in sigma.atoms:
-        if atom.t == 0.0:
-            raise DivergentAtOrigin("atom at t=0 makes the 1/t moment undefined")
     kind = "SL0K" if _b_divergent(sigma) else "SL01K"
     return ClassTag(kind=kind, stieltjes=(gamma >= 0.0))
 
@@ -457,55 +461,95 @@ def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
 
 def json_number(x) -> float:
     """float(x) for a JSON number; a boolean or a string raises TypeError."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    # a float skips the isinstance checks (numbers.Real is a slow ABC check)
+    if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise TypeError(f"expected a number, got {x!r}")
     return float(x)
 
 
-def measure_from_json(obj: dict, validate: bool = True) -> SpectralMeasure:
-    """Parse the measure JSON schema (see README) into a SpectralMeasure."""
-    if not isinstance(obj, dict):
-        raise ValidationError("measure: expected a JSON object")
-    num = json_number
-    atoms = tuple(Atom(num(a["t"]), num(a["w"])) for a in obj.get("atoms", ()))
+_MISSING = object()
+
+
+class JsonField:
+    """A JSON value and its path (``measure.pieces[0].hi``); each error names the path."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path: str = ""):
+        self.value, self.path = value, path
+
+    def expect(self, ok: bool, what: str) -> None:
+        """ValidationError "<path>: expected <what>, got <value>" unless ok."""
+        if not ok:
+            raise ValidationError(f"{self.path}: expected {what}, got {self.value!r}")
+
+    def __getitem__(self, key: str) -> "JsonField":
+        return self.get(key, _MISSING)
+
+    def get(self, key: str, default=None) -> "JsonField":
+        """Member key of an object, or default if absent; ``field[key]`` requires it."""
+        self.expect(isinstance(self.value, dict), "an object")
+        field = JsonField(self.value.get(key, default), f"{self.path}.{key}" if self.path else key)
+        if field.value is _MISSING:
+            raise ValidationError(f"{field.path}: missing")
+        return field
+
+    def items(self, n: Optional[int] = None) -> list:
+        """The items of a list (of n items, if given)."""
+        self.expect(isinstance(self.value, (list, tuple)) and n in (None, len(self.value)),
+                     "a list" if n is None else f"a list of {n}")
+        return [JsonField(x, f"{self.path}[{i}]") for i, x in enumerate(self.value)]
+
+    def number(self, optional: bool = False) -> Optional[float]:
+        """json_number of the value; None for null if optional."""
+        if optional and self.value is None:
+            return None
+        try:
+            return json_number(self.value)
+        except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float
+            raise ValidationError(f"{self.path}: {exc}") from exc
+
+    def numbers(self, n: Optional[int] = None) -> tuple:
+        """The number at each index of a list (of n items, if given)."""
+        if isinstance(self.value, (list, tuple)) and n in (None, len(self.value)):
+            try:
+                return tuple(map(json_number, self.value))
+            except (TypeError, OverflowError):  # named below
+                pass
+        return tuple(x.number() for x in self.items(n))
+
+
+def measure_from_json(obj, validate: bool = True) -> SpectralMeasure:
+    """Parse the measure JSON schema (see README), a dict or a JsonField, into a
+    SpectralMeasure; errors name the field's path (from ``measure`` for a dict)."""
+    node = obj if isinstance(obj, JsonField) else JsonField(obj, "measure")
+    atoms = tuple(Atom(a["t"].number(), a["w"].number()) for a in node.get("atoms", []).items())
     pieces = []
-    for p in obj.get("pieces", ()):
-        kind = p.get("kind", "power_law")
-        if kind == "power_law":
-            pieces.append(PowerLawPiece(num(p["lo"]), num(p["hi"]),
-                                        num(p["coeff"]), num(p["exponent"])))
-        elif kind == "inverse_sqrt":
-            pieces.append(PowerLawPiece(num(p["lo"]), num(p["hi"]),
-                                        num(p["coeff"]), -0.5))
-        elif kind == "table":
-            pieces.append(TablePiece(tuple(num(x) for x in p["knots"]),
-                                     tuple(num(x) for x in p["values"])))
+    for p in node.get("pieces", []).items():
+        kind = p.get("kind", "power_law").value
+        if kind == "table":
+            pieces.append(TablePiece(p["knots"].numbers(), p["values"].numbers()))
+        elif kind in ("power_law", "inverse_sqrt"):
+            lo, hi, coeff = p["lo"].number(), p["hi"].number(), p["coeff"].number()
+            e = -0.5 if kind == "inverse_sqrt" else p["exponent"].number()
+            pieces.append(PowerLawPiece(lo, hi, coeff, e))
         else:
-            raise ValidationError(f"measure: unknown piece kind {kind!r}")
-    tail = None
-    if obj.get("tail") is not None:
-        t = obj["tail"]
-        tail = Tail(num(t["T"]), num(t["coeff"]), num(t["exponent"]))
+            raise ValidationError(f"{p.path}.kind: unknown piece kind {kind!r}")
+    t = node.get("tail")
+    tail = None if t.value is None else Tail(t["T"].number(), t["coeff"].number(),
+                                             t["exponent"].number())
     return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail,
-                           declared_infinite_mass=bool(obj.get("infinite_mass", False)),
+                           declared_infinite_mass=bool(node.get("infinite_mass", False).value),
                            validate=validate)
 
 
 def measure_to_json(sigma: SpectralMeasure) -> dict:
-    pieces = []
-    for p in sigma.pieces:
-        if isinstance(p, PowerLawPiece):
-            pieces.append({"lo": p.lo, "hi": p.hi, "kind": "power_law",
-                           "coeff": p.coeff, "exponent": p.exponent})
-        else:
-            pieces.append({"kind": "table", "knots": list(p.knots),
-                           "values": list(p.values)})
-    out = {"atoms": [{"t": a.t, "w": a.w} for a in sigma.atoms],
-           "pieces": pieces,
-           "infinite_mass": sigma.declared_infinite_mass}
-    if sigma.tail is not None:
-        out["tail"] = {"T": sigma.tail.threshold, "coeff": sigma.tail.coeff,
-                       "exponent": sigma.tail.exponent}
-    else:
-        out["tail"] = None
-    return out
+    """The measure JSON schema of sigma, as measure_from_json reads it."""
+    t = sigma.tail
+    return {"atoms": [{"t": a.t, "w": a.w} for a in sigma.atoms],
+            "pieces": [{"lo": p.lo, "hi": p.hi, "kind": "power_law", "coeff": p.coeff,
+                        "exponent": p.exponent} if isinstance(p, PowerLawPiece) else
+                       {"kind": "table", "knots": list(p.knots), "values": list(p.values)}
+                       for p in sigma.pieces],
+            "infinite_mass": sigma.declared_infinite_mass,
+            "tail": t and {"T": t.threshold, "coeff": t.coeff, "exponent": t.exponent}}

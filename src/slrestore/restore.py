@@ -33,6 +33,7 @@ __all__ = [
     "Circle",
     "Hyperbola",
     "SweepRow",
+    "Sweep",
     "RestoredSystem",
     "accretivity",
     "gamma_admissible",
@@ -89,6 +90,32 @@ class SweepRow:
     strict: bool
     circle_residual: float
     eta_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Numpy columns of a sweep, sorted by gamma; iterating yields SweepRows.
+
+    ``sector`` is 0 (non-accretive), 1 (extremal) or 2 (sectorial, the only rows
+    where ``alpha`` is an angle)."""
+
+    gamma: np.ndarray
+    h_re: np.ndarray
+    h_im: np.ndarray
+    mu: np.ndarray
+    sector: np.ndarray
+    alpha: np.ndarray
+    circle_residual: np.ndarray
+    eta_residual: np.ndarray
+
+    def __len__(self) -> int:
+        return self.gamma.size
+
+    def __iter__(self):
+        for gamma, hx, hy, u, k, a, c, e in zip(*(col.tolist() for col in vars(self).values())):
+            yield SweepRow(gamma=gamma, h=complex(hx, hy), mu=u,
+                           sectoriality=_sectoriality(k, a), accretive=k > 0,
+                           strict=k == 2, circle_residual=c, eta_residual=e)
 
 
 @dataclass(frozen=True)
@@ -270,22 +297,18 @@ def quasi_kernel_eta(h: complex, mu: float) -> Optional[float]:
 
 
 def sweep(b: float, theta: float, m: float, xi: Optional[float],
-          gammas: Sequence[float]) -> list:
+          gammas: Sequence[float]) -> Sweep:
     """Restoration swept over a gamma sample, with identity residuals per row.
 
     Rows are ordered by gamma regardless of input order.
     """
     g = np.sort(np.asarray(gammas, dtype=float), kind="stable")
     offset, numerator, x, y, mu, rank, alpha = _row(b, theta, m, xi, g)
-    r = numerator / 2.0  # the h circle: center offset + ir, radius r
-    circle_res = np.abs((x - offset) ** 2 + (y - r) ** 2 - r ** 2)
-    eta_res = np.abs(_eta(x, y, mu) - offset)
-    columns = (g, x, y, mu, rank, alpha, circle_res, eta_res)
-    return [SweepRow(gamma=gamma, h=complex(hx, hy), mu=u,
-                     sectoriality=_sectoriality(k, a), accretive=k > 0,
-                     strict=k == 2, circle_residual=c, eta_residual=e)
-            for gamma, hx, hy, u, k, a, c, e
-            in zip(*(col.tolist() for col in columns))]
+    r = np.float64(numerator / 2.0)  # the h circle: center offset + ir, radius r
+    with np.errstate(all="ignore"):  # a residual past the float range reads inf
+        circle_res = np.abs((x - offset) ** 2 + (y - r) ** 2 - r ** 2)
+        eta_res = np.abs(_eta(x, y, mu) - offset)
+    return Sweep(g, x, y, mu, rank, alpha, circle_res, eta_res)
 
 
 def restore_system(b: float, gamma: float, theta: float, m: float,
@@ -293,15 +316,6 @@ def restore_system(b: float, gamma: float, theta: float, m: float,
                    class_tag: Optional[ClassTag] = None) -> RestoredSystem:
     """Full restoration: h, mu, accretivity/sectoriality flags, class tag."""
     _, _, x, y, mu, rank, alpha = _row(b, theta, m, xi, float(gamma))
-    sect = _sectoriality(rank, alpha)
-    return RestoredSystem(
-        h=complex(x, y),
-        mu=float(mu),
-        gamma=gamma,
-        accretive=rank > 0,
-        strict=rank == 2,
-        sectorial=(sect.kind == "sectorial"),
-        extremal=(sect.kind == "extremal"),
-        alpha=sect.alpha,
-        class_tag=class_tag,
-    )
+    return RestoredSystem(h=complex(x, y), mu=float(mu), gamma=gamma, accretive=rank > 0,
+                          strict=rank == 2, sectorial=rank == 2, extremal=rank == 1,
+                          alpha=_sectoriality(rank, alpha).alpha, class_tag=class_tag)

@@ -7,6 +7,7 @@ function and impedance.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -78,19 +79,24 @@ def transfer_W(p: SystemParams, lam: complex) -> complex:
 
 def impedance_V(p: SystemParams, lam: complex) -> complex:
     """Impedance (m+mu) Im h / ((mu-Re h) m + mu Re h - |h|^2); the mu = inf
-    limit is Im h / (m + Re h)."""
+    limit is Im h / (m + Re h).  A value out of float range counts as a pole."""
     m = complex(p.m_fn(lam))
     x, y = p.h.real, p.h.imag
     if math.isinf(p.mu):
         den = m + x
         if abs(den) <= _POLE_EPS * (1.0 + abs(m) + abs(x)):
             raise PoleOfV(f"impedance pole at lambda={lam}")
-        return y / den
-    den = (p.mu - x) * m + p.mu * x - (x * x + y * y)
-    scale = (1.0 + abs(m)) * (1.0 + abs(p.mu) + abs(p.h) ** 2)
-    if abs(den) <= _POLE_EPS * scale:
-        raise PoleOfV(f"impedance pole at lambda={lam}")
-    return (m + p.mu) * y / den
+        v = y / den
+    else:
+        hh = x * x + y * y
+        den = (p.mu - x) * m + p.mu * x - hh
+        scale = (1.0 + abs(m)) * (1.0 + abs(p.mu) + hh)
+        if abs(den) <= _POLE_EPS * scale:
+            raise PoleOfV(f"impedance pole at lambda={lam}")
+        v = (m + p.mu) * y / den
+    if not cmath.isfinite(v):
+        raise PoleOfV(f"impedance at lambda={lam} is out of float range")
+    return v
 
 
 def cayley_V_from_W(w: complex) -> complex:

@@ -26,6 +26,7 @@ from .errors import (
     NegativeQInf,
     NodeAtEndpoint,
     OdeStepFailure,
+    PropagationTooLong,
     Unsupported,
     ValidationError,
 )
@@ -74,10 +75,8 @@ class HalfLinePotential:
                 raise ValidationError("table cutoff must cover the grid")
 
     def q(self, x):
-        if self.kind == "zero":
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        if self.kind == "constant":
-            return np.full_like(np.asarray(x, dtype=float), self.value) if np.ndim(x) else self.value
+        if self.kind != "table":  # q_inf is 0 for zero and the value for constant q
+            return np.full(np.shape(x), self.q_inf) if np.ndim(x) else self.q_inf
         return np.where(np.asarray(x) >= self.cutoff, self.q_inf,
                         np.interp(x, self.grid, self.values))
 
@@ -178,13 +177,19 @@ def _decay_root(lam: complex, q_inf: float) -> complex:
     return k
 
 
+#: Largest (cutoff - a) * s a table propagation may take; its cost grows about
+#: linearly in it (2-3 s at the cap on a 2-vCPU Xeon host at ode_tol 1e-10).
+MAX_PROPAGATION = 5e3
+
+
 def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
     """-y'(a)/y(a) for the solution equal to e^{ik(x - cutoff)} beyond the cutoff.
 
     One backward sweep over [a, cutoff], renormalized in chunks.  Solutions
     grow at most like e^{s|x - x0|} with s = sqrt(max |q - lambda|) (Gronwall
     in the variables (y, y'/s)); |q - lambda| is convex in q, so the maximum
-    sits at a table value or at q_inf.
+    sits at a table value or at q_inf.  Past (cutoff - a) s = MAX_PROPAGATION
+    the sweep is refused with PropagationTooLong.
     """
     p = ev.potential
     grid = np.asarray(p.grid, dtype=float)
@@ -196,6 +201,9 @@ def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
 
     s = math.sqrt(max(abs(v - lam) for v in (*p.values, p.q_inf)))
     length = p.cutoff - p.a
+    if not length * s <= MAX_PROPAGATION:
+        raise PropagationTooLong(f"table propagation at lambda={lam}: (cutoff - a) * sqrt(max "
+                                 f"|q - lambda|) = {length * s:.3g} exceeds {MAX_PROPAGATION:g}")
     chunk = length if s == 0 else min(length, 200.0 / s)
     y = np.array([1.0, 1j * k], dtype=complex)
     x_hi = p.cutoff

@@ -1,11 +1,15 @@
 """End-to-end tests of the job-file CLI: artifacts, determinism, exit codes."""
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slrestore import cli
 from slrestore.errors import OdeStepFailure
@@ -205,39 +209,40 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
 
 @pytest.mark.parametrize("command, job, message", [
     ("classify", {"measure": PAPER_MEASURE, "gamma": math.nan}, "gamma: non-finite"),
-    ("classify", {"measure": PAPER_MEASURE, "gamma": "abc"}, "gamma:"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": "abc"}, "gamma: expected a number"),
     ("classify", {"measure": {"pieces": [{"lo": 0.0, "coeff": 1.0, "exponent": -0.5}]},
-                  "gamma": 0.0}, "measure: missing key 'hi'"),
+                  "gamma": 0.0}, "measure.pieces[0].hi: missing"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range: expected a list of 3"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, -3],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[2]: expected a row count"),
     ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0, "operator": {"m": "x"}},
-     "operator:"),
+     "operator.m: expected a number"),
     # Im h = xi/(1 + gamma^2) underflows to 0
     ("restore", {"measure": PAPER_MEASURE, "gamma": 1e308, "operator": SWEEP_OPERATOR},
      "gamma=1e+308"),
-    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "output": "b.json"}, "output:"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "output": "b.json"},
+     "output: expected an object"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0,
-                  "output": {"path": "no_such_dir/c.json"}}, "output:"),
+                  "output": {"path": "no_such_dir/c.json"}}, "output: cannot write"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": True}, "gamma: expected a number"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": "nan"}, "gamma: expected a number"),
     ("classify", {"measure": {"pieces": [{"lo": 0.0, "hi": 1.0, "coeff": True,
                                           "exponent": -0.5}]}, "gamma": 0.0},
-     "measure: expected a number"),
+     "measure.pieces[0].coeff: expected a number"),
     ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0, "operator": {"m": False}},
-     "operator: expected a number"),
+     "operator.m: expected a number"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, 2.7],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[2]: expected a row count"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, True],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[2]: expected a row count"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, 0],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[2]: expected a row count"),
     # rejected before np.linspace allocates the rows
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, 1.0, cli.MAX_GAMMA_ROWS + 1],
-               "operator": SWEEP_OPERATOR}, "gamma_range:"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[2]: expected a row count"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [False, 1.0, 5],
-               "operator": SWEEP_OPERATOR}, "gamma_range: expected a number"),
+               "operator": SWEEP_OPERATOR}, "gamma_range[0]: expected a number"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 10**400},
      "gamma: int too large to convert to float"),
     ("classify", {"measure": {"pieces": [{"kind": "table", "knots": [], "values": []}]},
@@ -255,4 +260,129 @@ def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # no artifact
+    assert message in capsys.readouterr().err
+
+
+# -- fuzzed jobs: the exit contract holds on every input -----------------------
+
+TABLE_POTENTIAL = {"a": 0.0, "q": {"kind": "table", "grid": [0.0, 0.5, 1.0],
+                                   "values": [1.0, 0.2, 0.5], "cutoff": 1.5, "q_inf": 0.5}}
+RICH_MEASURE = {
+    "atoms": [{"t": 2.0, "w": 0.5}],
+    "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5},
+               {"kind": "table", "knots": [1.0, 1.5, 2.0], "values": [0.2, 0.3, 0.1]}],
+    "tail": {"T": 2.0, "coeff": 0.3, "exponent": 1.5},
+}
+VALID_JOBS = [
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.5}),
+    ("moments", {"measure": RICH_MEASURE}),
+    ("restore", {"measure": PAPER_MEASURE, "gamma": -0.5,
+                 "operator": {"theta": 0.0, "m": 0.0, "c": 0.7, "xi": 1.0}}),
+    ("restore", {"measure": RICH_MEASURE, "gamma": 1.0, "operator": {"theta": 0.5, "m": 0.0}}),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [-2.0, 2.0, 9],
+               "operator": SWEEP_OPERATOR}),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
+                "tolerances": {"ode": 1e-10, "verify": 1e-6}}),
+    ("weyl", {"potential": {"a": 0.0, "q": {"kind": "constant", "value": 1.0}},
+              "lambdas": [[-4.0, 0.0], [0.0, 1.0]]}),
+    ("weyl", {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]]}),
+]
+EDGE_VALUES = [0, 1, -1, 400, -400, 2000, -2000, 1e300, -1e300, 1e-300, 10**30,
+               "x", None, [], {}, True]
+
+
+def _paths(obj, prefix=()):
+    """The path of every value below the root of a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_jobs(draw):
+    command, job = draw(st.sampled_from(VALID_JOBS))
+    job = copy.deepcopy(job)
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, last = draw(st.sampled_from(list(_paths(job))))
+        target = job
+        for key in parents:
+            target = target[key]
+        target[last] = copy.deepcopy(draw(st.sampled_from(EDGE_VALUES)))
+    return command, job
+
+
+def _measure_job(command, **measure):
+    job = {"measure": dict(PAPER_MEASURE, **measure), "gamma": 0.0,
+           "potential": ZERO_POTENTIAL}
+    return command, job
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_jobs())
+# moments of a tail that overflow the float range (tail: no longer a traceback)
+@example(("moments", {"measure": {"tail": {"T": 0.01, "coeff": 1, "exponent": 400}}}))
+@example(("moments", {"measure": {"pieces": [{"lo": 0.5, "hi": 2.0, "coeff": 1,
+                                              "exponent": -2000}]}}))
+# Gauss-Jacobi rules out of float range or singular (p -> -1)
+@example(_measure_job("verify", pieces=[{"lo": 0, "hi": 1, "coeff": 1, "exponent": 2000}]))
+@example(_measure_job("verify", pieces=[{"lo": 0, "hi": 1, "coeff": 1, "exponent": 1e300}]))
+@example(_measure_job("verify", tail={"T": 1.0, "coeff": 1.0, "exponent": 1e-300}))
+# a table propagation of about 1e150 chunks
+@example(("weyl", {"potential": {"a": 0.0, "q": dict(TABLE_POTENTIAL["q"], q_inf=1e300)},
+                   "lambdas": [[-1.0, 0.5]]}))
+def test_fuzzed_jobs_keep_the_exit_contract(case):
+    command, job = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        job_path = tmp / "job.json"
+        job_path.write_text(json.dumps(job))
+        outs = [tmp / "a.out", tmp / "b.out"]
+        codes = [cli.main([command, "--job", str(job_path), "--out", str(out), "--quiet"])
+                 for out in outs]
+        assert codes[0] == codes[1] and codes[0] in (0, 2, 3, 4)
+        if codes[0] in (2, 3):
+            assert not any(out.exists() for out in outs)
+        else:
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("command, job, code, message", [
+    ("moments", {"measure": {"tail": {"T": 0.01, "coeff": 1, "exponent": 400}}}, 2,
+     "UnrepresentableMeasure: tail:"),
+    ("moments", {"measure": {"pieces": [{"lo": 0.5, "hi": 2.0, "coeff": 1,
+                                         "exponent": -2000}]}}, 2,
+     "UnrepresentableMeasure: piece 0:"),
+    (*_measure_job("verify", pieces=[{"lo": 0, "hi": 1, "coeff": 1, "exponent": 2000}]), 2,
+     "UnrepresentableMeasure: piece 0:"),
+    (*_measure_job("verify", pieces=[{"lo": 0, "hi": 1, "coeff": 1, "exponent": 1e300}]), 2,
+     "UnrepresentableMeasure: piece 0:"),
+    (*_measure_job("verify", tail={"T": 1.0, "coeff": 1.0, "exponent": 1e-300}), 2,
+     "UnrepresentableMeasure: tail:"),
+    ("weyl", {"potential": {"a": 0.0, "q": dict(TABLE_POTENTIAL["q"], q_inf=1e300)}}, 3,
+     "PropagationTooLong: table propagation"),
+], ids=["tail-overflow", "piece-overflow", "jacobi-overflow", "jacobi-nan",
+        "jacobi-singular", "table-too-long"])
+def test_out_of_range_jobs_end_in_named_errors(tmp_path, capsys, command, job, code,
+                                               message):
+    out = tmp_path / "out"
+    assert _run(command, _write_job(tmp_path, "job.json", job), out) == code
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("job, message", [
+    ({"potential": {"a": 0.0, "q": dict(TABLE_POTENTIAL["q"], grid=[0.0, "x", 1.0])}},
+     "potential.q.grid[1]: expected a number"),
+    ({"potential": ZERO_POTENTIAL, "lambdas": [[0.0, 1.0], [2.0]]},
+     "lambdas[1]: expected a list of 2"),
+    ({"potential": {"a": 0.0, "q": {"kind": "cubic"}}}, "potential.q.kind: unknown"),
+    ({"potential": ZERO_POTENTIAL, "tolerances": {"ode": "tight"}},
+     "tolerances.ode: expected a number"),
+    ({"potential": ZERO_POTENTIAL, "lambdas": [[0.0, math.inf]]},
+     "lambdas[0][1]: non-finite number"),
+], ids=["table-grid-str", "lambda-short", "kind-unknown", "tolerance-str", "lambda-inf"])
+def test_weyl_field_errors_name_the_full_path(tmp_path, capsys, job, message):
+    assert _run("weyl", _write_job(tmp_path, "job.json", job), tmp_path / "out") == 2
     assert message in capsys.readouterr().err

@@ -602,7 +602,21 @@ def test_json_inverse_sqrt_alias():
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="measure: expected an object"):
         measure_from_json([1, 2, 3])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"measure\.pieces\[0\]\.kind: unknown piece kind"):
         measure_from_json({"pieces": [{"kind": "mystery"}]})
+
+
+@pytest.mark.parametrize("obj, path", [
+    ({"pieces": [{"kind": "table", "knots": [0, 1, "x"], "values": [1, 1, 1]}]},
+     "measure.pieces[0].knots[2]: expected a number"),
+    ({"atoms": [{"t": 1.0, "w": 1.0}, {"t": 1.0}]}, "measure.atoms[1].w: missing"),
+    ({"tail": {"T": 1.0, "coeff": 1.0, "exponent": None}},
+     "measure.tail.exponent: expected a number"),
+    ({"pieces": {"lo": 0.0}}, "measure.pieces: expected a list"),
+])
+def test_json_field_errors_name_the_path(obj, path):
+    with pytest.raises(ValidationError) as info:
+        measure_from_json(obj)
+    assert str(info.value).startswith(path)

@@ -237,7 +237,7 @@ def test_sweep_remark_fixture():
     assert len(rows) == 100
     assert max(r.circle_residual for r in rows) < 1e-12
     assert max(r.eta_residual for r in rows) < 1e-10
-    assert all(a.gamma < b.gamma for a, b in zip(rows, rows[1:]))
+    assert all(a.gamma < b.gamma for a, b in zip(rows, list(rows)[1:]))
 
 
 def test_sweep_contains_extremal_row():
@@ -248,7 +248,16 @@ def test_sweep_contains_extremal_row():
 
 
 def test_sweep_empty():
-    assert sweep(2.0, 0.3, 0.2, None, []) == []
+    assert list(sweep(2.0, 0.3, 0.2, None, [])) == []
+
+
+def test_sweep_columns_match_the_rows():
+    s = sweep(2.0, theta=0.3, m=0.2, xi=None, gammas=[1.0, -1.0, 0.0, -2.0])
+    assert len(s) == 4 and s.gamma.tolist() == [-2.0, -1.0, 0.0, 1.0]
+    for i, row in enumerate(s):
+        assert row.h == complex(s.h_re[i], s.h_im[i]) and row.mu == s.mu[i]
+        assert row.sectoriality.kind == ("non_accretive", "extremal", "sectorial")[s.sector[i]]
+        assert row.circle_residual == s.circle_residual[i]
 
 
 # -- assembled system ---------------------------------------------------------
