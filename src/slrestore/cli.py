@@ -119,7 +119,10 @@ def _operator(job: JsonField) -> Optional[OperatorData]:
 
 
 def _tolerance(job: JsonField, name: str, default: float) -> float:
-    return job.get("tolerances", {}).get(name, default).number()
+    node = job.get("tolerances", {}).get(name, default)
+    tol = node.number()
+    node.expect(tol > 0.0, "a positive number")
+    return tol
 
 
 def _output(job: JsonField) -> Optional[str]:

@@ -10,7 +10,9 @@ the decaying solution there is e^{ik(x - cutoff)} with k = sqrt(lambda -
 q_inf), Im k > 0.  For zero and constant q this gives m_inf = -ik in closed
 form.  For a tabulated q the solution starts at the cutoff from (1, ik) and
 is integrated back over [a, cutoff] only: backward is its stable direction.
-The boundary limit m_inf(-0) is one such propagation at lambda = 0.
+The boundary limit m_inf(-0) is one such propagation at lambda = 0.  These
+propagations and solve_cauchy run scipy's solve_ivp (DOP853), imported on first
+call, so m_inf of zero and constant q loads no scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     NegativeQInf,
@@ -137,6 +138,12 @@ class CauchySolution:
     @property
     def wronskian(self) -> complex:
         return self.phi1 * self.dphi2 - self.dphi1 * self.phi2
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on first call (it goes with ROADMAP item 3)."""
+    from scipy.integrate import solve_ivp as ivp
+    return ivp(*args, **kwargs)
 
 
 def _schrodinger_rhs(potential: HalfLinePotential, lam: complex):

@@ -5,6 +5,8 @@ import copy
 import csv
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -247,11 +249,15 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
      "gamma: int too large to convert to float"),
     ("classify", {"measure": {"pieces": [{"kind": "table", "knots": [], "values": []}]},
                   "gamma": 0.0}, "piece 0: knots/values size mismatch"),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0, "potential": ZERO_POTENTIAL,
+                "tolerances": {"verify": -1}}, "tolerances.verify: expected a positive number"),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0, "potential": ZERO_POTENTIAL,
+                "tolerances": {"verify": 0}}, "tolerances.verify: expected a positive number"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
-        "gamma-int-overflow", "table-no-knots"])
+        "gamma-int-overflow", "table-no-knots", "verify-tol-neg", "verify-tol-zero"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
@@ -386,3 +392,43 @@ def test_out_of_range_jobs_end_in_named_errors(tmp_path, capsys, command, job, c
 def test_weyl_field_errors_name_the_full_path(tmp_path, capsys, job, message):
     assert _run("weyl", _write_job(tmp_path, "job.json", job), tmp_path / "out") == 2
     assert message in capsys.readouterr().err
+
+
+
+# -- import footprint ---------------------------------------------------------
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from slrestore import cli, measure
+steps = [("import", 0, scipy_modules())]
+for cmd, job, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3]):
+    steps.append((cmd, cli.main([cmd, "--job", job, "--out", out, "--quiet"]), scipy_modules()))
+print(json.dumps({"steps": steps, "jacobi_rules": measure._jacobi_rule.cache_info().currsize}))
+"""
+
+
+def test_only_a_table_potential_loads_scipy(tmp_path):
+    """scipy modules after import and after each job, in a fresh interpreter
+    (pytest itself imports scipy): the Gauss-Jacobi rules come from numpy and
+    only a table propagation reaches scipy.integrate."""
+    jobs = [("verify", {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL}),
+            ("moments", {"measure": RICH_MEASURE}),  # exponents 0.5 and 1.5: Jacobi panels
+            ("weyl", {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]]})]
+    argv = []
+    for i, (command, job) in enumerate(jobs):
+        argv += [command, _write_job(tmp_path, f"job{i}.json", job), str(tmp_path / f"out{i}")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, src, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    steps = {name: (code, modules) for name, code, modules in result["steps"]}
+    assert [code for code, _ in steps.values()] == [0, 0, 0, 0]
+    assert steps["import"][1] == steps["verify"][1] == steps["moments"][1] == []
+    assert result["jacobi_rules"] > 0
+    assert "scipy.integrate" in steps["weyl"][1]

@@ -3,7 +3,8 @@
 Independent oracle: scipy.integrate.quad on explicitly substituted
 integrands, plus closed-form antiderivatives where they exist (evaluated in
 mpmath for the 200-knot tables, and as Gauss hypergeometric functions for
-power-law pieces and tails).
+power-law pieces and tails); the Gauss-Jacobi origin rules against a
+40-digit Golub-Welsch in mpmath.
 """
 from __future__ import annotations
 
@@ -58,6 +59,40 @@ def test_quadrature_oscillatory_oracle():
 
 def test_quadrature_empty_interval():
     assert adaptive_gauss_legendre(np.cos, 1.0, 1.0) == (0.0, 0.0)
+
+
+def _golub_welsch_oracle(n, beta):
+    """n-point Gauss rule for (1 + x)**beta on [-1, 1] in mpmath (caller sets the
+    precision): the textbook Jacobi matrix for (1 - x)**a (1 + x)**b at a = 0,
+    mp.eigsy, and the mass from Gamma functions.  Returns (nodes, weights, mass),
+    nodes ascending."""
+    a, b = mpmath.mpf(0), mpmath.mpf(beta)
+    jacobi = mpmath.zeros(n, n)
+    for k in range(n):
+        s = 2 * k + a + b
+        jacobi[k, k] = (b - a) / (a + b + 2) if k == 0 else (b * b - a * a) / (s * (s + 2))
+        if k:
+            jacobi[k, k - 1] = jacobi[k - 1, k] = mpmath.sqrt(
+                4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1)))
+    nodes, vectors = mpmath.eigsy(jacobi)
+    mass = 2 ** (a + b + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(a + b + 2)
+    rule = sorted((nodes[i], vectors[0, i] ** 2 * mass) for i in range(n))
+    return (np.array([float(x) for x, _ in rule]), np.array([float(w) for _, w in rule]),
+            float(mass))
+
+
+@pytest.mark.parametrize("p, weight_tol", [(-0.999, 5e-15), (-0.5, 5e-15), (0.5, 5e-15),
+                                           (3.0, 5e-15), (40.0, 1e-13), (1000.0, 1e-13)])
+def test_jacobi_rule_golub_welsch_oracle(p, weight_tol):
+    # weight errors are measured against the rule's mass: for large p the
+    # outer weights are tiny next to it and carry little relative accuracy
+    nodes, weights = measure_module._jacobi_rule(p)
+    with mpmath.workdps(40):
+        for rule, n in ((slice(0, 21), 21), (slice(21, None), 10)):
+            x, w, mass = _golub_welsch_oracle(n, p)
+            order = np.argsort(nodes[rule])
+            assert np.max(np.abs(nodes[rule][order] - x)) <= 2e-15
+            assert np.max(np.abs(weights[rule][order] - w)) <= weight_tol * mass
 
 
 def _reference_dfs(f, lo, hi, tol=1e-11, max_depth=52):
