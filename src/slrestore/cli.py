@@ -105,7 +105,7 @@ def _evaluator(job: JsonField, needed_by: str = "") -> Optional[WeylEvaluator]:
             cutoff=q["cutoff"].number(), q_inf=q.get("q_inf", 0.0).number())
     else:
         raise ValidationError(f"{q.path}.kind: unknown potential kind {kind!r}")
-    return WeylEvaluator(potential=potential, ode_tol=_tolerance(job, "ode", 1e-10))
+    return WeylEvaluator(potential=potential, ode_tol=_tolerance(job, "ode", 1e-10, below=1.0))
 
 
 def _operator(job: JsonField) -> Optional[OperatorData]:
@@ -118,10 +118,11 @@ def _operator(job: JsonField) -> Optional[OperatorData]:
                         xi=node.get("xi").number(optional=True))
 
 
-def _tolerance(job: JsonField, name: str, default: float) -> float:
+def _tolerance(job: JsonField, name: str, default: float, below: float = math.inf) -> float:
     node = job.get("tolerances", {}).get(name, default)
     tol = node.number()
-    node.expect(tol > 0.0, "a positive number")
+    node.expect(0.0 < tol < below, f"a number in (0, {below:g})" if below < math.inf else
+                "a positive number")
     return tol
 
 

@@ -7,13 +7,12 @@ be verified from finite data and is therefore declared by a flag; the
 validator only checks that the declaration is consistent with a tail
 exponent <= 1.
 
-Weighted integrals use breadth-first adaptive Gauss-Legendre quadrature on
-root panels (a table's knot segments, each to its own tolerance); capped
-refinement ends silently, its error still counted.  A resolvent over an
-array of z is one quadrature with one integrand row per z, each row
-accepting its own panels.  Power laws and the tail integrate in u = sqrt(t) or
-sqrt(T/t) with a Gauss-Jacobi origin panel, or in closed form against 1/t; 1/t
-divergence is decided analytically.
+A weighted integral is one pass of breadth-first adaptive Gauss-Legendre quadrature
+on the root panels of all parts: table knot segments in t, power laws in u = sqrt(t)
+and the tail in u = sqrt(T/t), with Gauss-Jacobi origin panels.  Kernels are rows
+(each z of a resolvent, or the three moments), each refining its own panels; 1/t has
+closed forms on power laws and the tail.  Capped refinement ends silently, its error
+still counted; the breadth cap counts the panels of all parts together.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -175,21 +174,15 @@ class SpectralMeasure:
                         f"piece {i}: exponent {piece.exponent} <= -1 at the origin "
                         "makes the 1/(1+t) moment diverge"
                     )
-            else:
-                knots = np.asarray(piece.knots, dtype=float)
-                values = np.asarray(piece.values, dtype=float)
-                if np.any(np.diff(knots) <= 0):
-                    raise ValidationError(f"piece {i}: knots not strictly increasing")
-                if np.any(values < 0):
-                    raise ValidationError(f"piece {i}: negative density value")
+            elif np.any(np.diff(np.asarray(piece.knots, dtype=float)) <= 0):
+                raise ValidationError(f"piece {i}: knots not strictly increasing")
+            elif min(piece.values) < 0:
+                raise ValidationError(f"piece {i}: negative density value")
         if self.tail is not None:
             _check_finite("tail", **vars(self.tail))
-            if self.tail.threshold <= 0:
-                raise ValidationError("tail threshold must be positive")
-            if self.tail.coeff <= 0:
-                raise ValidationError("tail coefficient must be positive")
-            if self.tail.exponent <= 0:
-                raise ValidationError("tail exponent must be positive")
+            for name, x in zip(("threshold", "coefficient", "exponent"), vars(self.tail).values()):
+                if x <= 0:
+                    raise ValidationError(f"tail {name} must be positive")
             for i, piece in enumerate(self.pieces):
                 if piece.hi > self.tail.threshold + 1e-12:
                     raise ValidationError(
@@ -256,132 +249,105 @@ def _jacobi_rule(p: float):
     return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52,
-                            exponent: float = 0.0):
-    """Integrate t**exponent * f(t) over root panels [lo, hi] (scalars or 1-D arrays).
+def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52, parts=None):
+    """Integrate f(t) over root panels [lo, hi] (scalars or 1-D arrays), in one pass.
 
-    f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel
-    parameter, integrated over the same roots.  Each row and root gets absolute
-    tolerance tol (hi <= lo adds 0).  Each depth level is one call of f on the 10- and
-    21-point Gauss-Legendre nodes (not nested) of every panel that some row still
-    needs; a row accepts or bisects each of its panels by its own rule difference, so
-    it gets the panels, value and error a call with that row alone would give, unless
-    the breadth cap ends the refinement first.  Depth and breadth caps accept a level
-    silently, its error still summed; the breadth cap counts the (panel, row) pairs of
-    the next level's call against max(_MAX_PANELS, n * len(lo)), which bounds its
-    memory for any n.  Sums run right to left per root, then by root, per row.
-    An exponent weights f by t**exponent (lo >= 0); a panel from 0 takes the cached
-    21/10-point Gauss-Jacobi pair for it (exponent > -1).  Returns (value, err), each
-    of shape (n,) (scalars if f returns 1-D); complex iff f is.
+    f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel parameter.
+    Each row and root gets absolute tolerance tol (hi <= lo adds 0).  Each depth level
+    is one call of f on the 10- and 21-point Gauss-Legendre nodes (not nested) of every
+    panel that some row still needs; a row accepts or bisects each of its panels by its
+    own rule difference, as it would alone, until the depth or breadth cap (at most
+    max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call) accepts a whole level
+    silently, its error still summed.  Sums run right to left per root, then by root.
+    Returns (value, err) of shape (n,) (scalars if f returns 1-D).  parts, one (stop, p,
+    chart) per block of roots up to index stop, puts those roots in u: weight u**p (a
+    panel from 0 takes the cached Gauss-Jacobi pair, p > -1), and chart(u) -> (t, factor
+    or None) gives f's t and scales f's values (row by row, if it has a row axis); the
+    sums are then per root, of shape (n, len(lo)).
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
+    per_root, parts = parts is not None, parts or [(lo.size, 0.0, None)]
     width0 = hi - lo
     root = (width0 > 0).nonzero()[0]
     if not root.size:
-        return 0.0, 0.0
+        return (np.zeros((1, lo.size)),) * 2 if per_root else (0.0, 0.0)
     a, b = lo[root], hi[root]
-    need = True  # (row, panel) pairs still open: at depth 0, all of them
+    need = True  # (row, panel) pairs still open
     levels = []  # (accepted mask, root, left end, value, error) per depth level
     for depth in range(max_depth + 1):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = mid[:, None] + half[:, None] * _NODES
-        weights = _WEIGHTS * t ** exponent if exponent else _WEIGHTS
-        # a rule is built only for a panel from 0, so roots with lo > 0 take any exponent
-        if exponent and (at0 := a == 0.0).any():
-            nodes, jacobi = _jacobi_rule(exponent)
-            t[at0] = half[at0, None] * (1.0 + nodes)
-            weights[at0] = jacobi * half[at0, None] ** exponent
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        u = mid[:, None] + half[:, None] * _NODES
+        t, weights, scaled = np.empty_like(u) if per_root else u, _WEIGHTS, []
+        ends = root.searchsorted([part[0] for part in parts]).tolist()  # panels sorted by root
+        for (_, p, chart), i, j in zip(parts, [0] + ends, ends):
+            blk = slice(i, j)
+            if p and i < j:  # a rule is built only for a panel from 0: lo > 0 takes any p
+                weights = np.tile(_WEIGHTS, (len(u), 1)) if weights is _WEIGHTS else weights
+                weights[blk] = _WEIGHTS * u[blk] ** p
+                if (at0 := a[blk] == 0.0).any():
+                    nodes, jacobi = _jacobi_rule(p)
+                    u[blk][at0] = half[blk][at0, None] * (1.0 + nodes)
+                    weights[blk][at0] = jacobi * half[blk][at0, None] ** p
+            if chart and i < j:
+                t[blk], factor = chart(u[blk])
+                scaled += [] if factor is None else [(blk, factor)]
         y = f(t.ravel())
-        # one line of nodes per (row, panel); a 1-D y has no row axis
-        wf = weights * y.reshape(y.shape[:-1] + (root.size, _NODES.size))
+        one_row, y = y.ndim == 1, y.reshape((-1,) + u.shape)  # nodes by (row, panel)
+        for blk, factor in scaled:
+            y[:, blk] *= factor
+        wf = weights * y
         i_hi = half * wf[..., :_NODES_HI.size].sum(axis=-1)
         i_lo = half * wf[..., _NODES_HI.size:].sum(axis=-1)
         d = i_hi - i_lo
         e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
-        split = ~(e <= tol * ((b - a) / width0[root]))
-        bisect = split
-        if y.ndim > 1:  # rows share the panels; each splits only those it still needs
-            split &= need
-            bisect = split.any(axis=0)
-        n_bisect = np.count_nonzero(bisect)
-        rows = split.size // root.size
+        # rows share the panels; each splits only those it still needs
+        split = ~(e <= tol * ((b - a) / width0[root])) & need
+        bisect = split.any(axis=0)
+        n_bisect, rows = np.count_nonzero(bisect), len(split)
         # depth and breadth caps: accept the rest as they stand; their e still counts
         if depth == max_depth or 2 * n_bisect * rows > max(_MAX_PANELS, rows * lo.size):
             split[...] = n_bisect = 0
         levels.append((need ^ split, root, a, i_hi, e))  # split is a subset of need
         if not n_bisect:
             break
-        if y.ndim > 1:
-            need = split[:, bisect]
-            need = np.concatenate((need, need), axis=1)
-        root, a, mid, b = root[bisect], a[bisect], mid[bisect], b[bisect]
-        root, a, b = (np.concatenate(x) for x in ((root, root), (a, mid), (mid, b)))
+        need = split[:, bisect].repeat(2, axis=1)
+        # each panel's halves side by side, so that panels stay sorted by root
+        root, a, b = root[bisect].repeat(2), a[bisect].repeat(2), b[bisect].repeat(2)
+        a[1::2] = b[::2] = mid[bisect]
     ok, root, left, i_hi, e = (np.concatenate(x, axis=-1) for x in zip(*levels))
-    row, panel = ok.reshape(rows, -1).nonzero()
-    at = row * lo.size + root[panel]  # flat (row, root) slot
-    order = np.lexsort((-left[panel], at))
-    at = at[order]
-    value, err = np.zeros(rows * lo.size, dtype=i_hi.dtype), np.zeros(rows * lo.size)
-    np.add.at(value, at, i_hi[ok][order])  # in index order, one by one
-    np.add.at(err, at, e[ok][order])
-    shape = y.shape[:-1] + lo.shape  # (rows, roots), or (roots,) for one row
-    return value.reshape(shape).cumsum(axis=-1).T[-1], err.reshape(shape).cumsum(axis=-1).T[-1]
+    row, panel = ok.nonzero()
+    order = np.lexsort((-left[panel], root[panel], row))  # right to left per (row, root)
+    slot, row, panel = (row[order], root[panel[order]]), row[order], panel[order]
+    value, err = np.zeros((rows, lo.size), dtype=i_hi.dtype), np.zeros((rows, lo.size))
+    np.add.at(value, slot, i_hi[row, panel])  # in index order, one by one
+    np.add.at(err, slot, e[row, panel])
+    if not per_root:  # by root, per row
+        value, err = value.cumsum(axis=1)[:, -1], err.cumsum(axis=1)[:, -1]
+    return (value[0], err[0]) if one_row else (value, err)
 
 
-def _kernel_callable(kernel: Kernel) -> Callable:
-    if isinstance(kernel, Resolvent):
-        z = np.asarray(kernel.z, dtype=complex)[..., None]  # one row per z, if an array
-        return lambda t: 1.0 / (t - z)
-    if kernel == INV_T:
-        return lambda t: 1.0 / t
-    if kernel == INV_1PLUS_T:
-        return lambda t: 1.0 / (1.0 + t)
-    if kernel == INV_1PLUS_T2:
-        return lambda t: 1.0 / (1.0 + t * t)
-    raise ValidationError(f"unknown kernel {kernel!r}")
+_KERNELS = {INV_T: lambda t: 1.0 / t, INV_1PLUS_T: lambda t: 1.0 / (1.0 + t),
+            INV_1PLUS_T2: lambda t: 1.0 / (1.0 + t * t)}
 
 
 def _b_divergent(sigma: SpectralMeasure) -> bool:
     """Analytic divergence test for the 1/t moment at the origin (an atom there raises)."""
     if any(atom.t == 0.0 for atom in sigma.atoms):
         raise DivergentAtOrigin("atom at t=0 makes the 1/t moment undefined")
-    for piece in sigma.pieces:
-        if piece.lo == 0.0:
-            if isinstance(piece, PowerLawPiece) and piece.exponent <= 0.0:
-                return True
-            if isinstance(piece, TablePiece) and piece.values[0] > 0.0:
-                return True
-    return False
+    return any(p.lo == 0.0 and (p.values[0] > 0.0 if isinstance(p, TablePiece)
+                                else p.exponent <= 0.0) for p in sigma.pieces)
 
 
-def _power_integral(kernel: Kernel, kf, lo: float, hi: float, c: float, e: float, tol: float):
-    """Integral of c * t**e * k(t) over [lo, hi]; hi = inf for the tail."""
-    if kernel == INV_T:  # elementary antiderivative; lo = 0 only with e > 0 (_b_divergent)
-        if e == 0.0:
-            return c * math.log(hi / lo), 0.0
-        return c * (hi ** e - lo ** e) / e, 0.0
-    # a smooth function of u times u**p, for every kernel
-    if math.isinf(hi):  # t = lo/u**2: c t**e k(t) dt = 2c lo**(1+e) u**(-2e-1) k(lo/u**2)/u**2 du
-        pref, u0, u1, p = 2.0 * c * lo ** (1.0 + e), 0.0, 1.0, -2.0 * e - 1.0
-        g = lambda u: kf(lo / (u * u)) * (1.0 / (u * u))
-    else:  # t = u**2: c t**e k(t) dt = 2c u**(2e+1) k(u**2) du
-        pref, u0, u1, p = 2.0 * c, math.sqrt(lo), math.sqrt(hi), 2.0 * e + 1.0
-        g = lambda u: kf(u * u)
-    val, err = adaptive_gauss_legendre(g, u0, u1, tol, exponent=p)
-    return pref * val, abs(pref) * err
-
-
-def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
-                       tol: float = DEFAULT_TOL):
+def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel, tol: float = DEFAULT_TOL):
     """Compute integral of the kernel against sigma.
 
     Returns (value, error_estimate).  The value is +inf (extended real) when
-    the 1/t moment diverges at the origin, and complex for a resolvent kernel
-    with nonzero imaginary part.  A resolvent whose z is a 1-D array gives one
-    complex value and error per z, in one quadrature pass, each as a scalar z
-    would give it.
+    the 1/t moment diverges at the origin, and complex for a resolvent kernel.
+    A resolvent whose z is a 1-D array gives one value and error per z, and a
+    tuple of kernel names a tuple of values and one of errors, in one pass, each
+    value as a single kernel would give it.
     """
+    kernels, z = kernel if isinstance(kernel, tuple) else (kernel,), None
     if isinstance(kernel, Resolvent):
         z = np.asarray(kernel.z, dtype=complex)
         if z.ndim > 1 or not z.size:
@@ -391,54 +357,85 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel,
                 raise ValidationError(f"resolvent point z={zj} is not finite")
             if zj.imag == 0.0 and zj.real >= 0.0:
                 raise PoleOnSupport(f"resolvent point z={zj} lies on [0, +inf)")
+        f = lambda t, zc=z.reshape(-1, 1): 1.0 / (t - zc)  # one row per z
+    elif not kernels or not all(isinstance(k, str) and k in _KERNELS for k in kernels):
+        raise ValidationError(f"unknown kernel {kernel!r}")
     # re-run the cheap analytic integrability guard (measures may have been
     # built with validate=False)
-    for piece in sigma.pieces:
-        if isinstance(piece, PowerLawPiece) and piece.lo == 0.0 and piece.exponent <= -1.0:
-            raise NonIntegrable("measure is not integrable against 1/(1+t)")
-    if kernel == INV_T and _b_divergent(sigma):
-        return math.inf, 0.0
-    kf = _kernel_callable(kernel)
+    if any(isinstance(p, PowerLawPiece) and p.lo == 0 and p.exponent <= -1 for p in sigma.pieces):
+        raise NonIntegrable("measure is not integrable against 1/(1+t)")
+    b_inf = INV_T in kernels and _b_divergent(sigma)
+    if b_inf and set(kernels) == {INV_T}:  # nothing left to integrate
+        n = len(kernels)
+        return (math.inf, 0.0) if kernel == INV_T else ((math.inf,) * n, (0.0,) * n)
+    rows = [k for k in kernels if not (b_inf and k == INV_T)]
+    if z is None:  # one row per kernel
+        f = lambda t, kfs=[_KERNELS[k] for k in rows]: np.stack([kf(t) for kf in kfs])
+    inv_t = np.array([k == INV_T for k in rows])
+    # 1/t has closed forms on power laws and the tail: its rows get a zero factor there
+    served = np.where(inv_t, 0.0, 1.0)[:, None, None] if inv_t.any() else None
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
-    if sigma.tail is not None:  # c t**-s on [T, inf)
-        T, c, s = sigma.tail.threshold, sigma.tail.coeff, sigma.tail.exponent
-        parts.append(("tail", PowerLawPiece(T, math.inf, c, -s)))
+    if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)
+        parts.append(("tail", PowerLawPiece(tail.threshold, math.inf, tail.coeff, -tail.exponent)))
     value, err, where = 0.0, 0.0, "atoms"
     try:
         with np.errstate(all="ignore"):  # a part out of float range is named below
-            for atom, k in zip(sigma.atoms, kf(np.array([atom.t for atom in sigma.atoms])).T):
+            for atom, k in zip(sigma.atoms, f(np.array([atom.t for atom in sigma.atoms])).T):
                 value = value + atom.w * k
             if not np.isfinite(value).all():
                 raise OverflowError
+            lo, hi, blocks, sums = [], [], [], []  # every part's roots, for one pass
             for where, piece in parts:
-                if isinstance(piece, PowerLawPiece):
-                    v, e = _power_integral(kernel, kf, piece.lo, piece.hi, piece.coeff,
-                                           piece.exponent, tol)
-                else:  # one call: every knot segment is a root panel
-                    knots = np.asarray(piece.knots)
-                    v, e = adaptive_gauss_legendre(lambda t: piece.density(t) * kf(t),
-                                                   knots[:-1], knots[1:], tol)
-                value, err = value + v, err + e
+                j, pref, inv = len(lo), 1.0, 0.0
+                if isinstance(piece, TablePiece):  # every knot segment is a root panel
+                    lo, hi = lo + list(piece.knots[:-1]), hi + list(piece.knots[1:])
+                    blocks.append((len(lo), 0.0, lambda u, d=piece.density: (u, d(u))))
+                    sums.append((where, j, len(lo), pref, inv))
+                    continue
+                c, x, t0, t1 = piece.coeff, piece.exponent, piece.lo, piece.hi
+                if inv_t.any():  # elementary antiderivative; t0 = 0 only with x > 0
+                    inv = c * math.log(t1 / t0) if x == 0.0 else c * (t1 ** x - t0 ** x) / x
+                if not inv_t.all():  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
+                    if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt as a factor
+                        pref, p, u0, u1 = 2.0 * c * t0 ** (1.0 + x), -2.0 * x - 1.0, 0.0, 1.0
+                        chart = lambda u, T=t0, w=1.0 if served is None else served: (
+                            T / (u * u), w / (u * u))
+                    else:  # t = u**2
+                        pref, p, u0, u1 = 2.0 * c, 2.0 * x + 1.0, math.sqrt(t0), math.sqrt(t1)
+                        chart = lambda u: (u * u, served)
+                    if p and not u0:
+                        _jacobi_rule(p)  # built (or out of float range) here, in its part's name
+                    lo, hi = lo + [u0], hi + [u1]
+                    blocks.append((len(lo), p, chart))
+                sums.append((where, j, len(lo), pref, inv))
+            if blocks:
+                roots, errs = adaptive_gauss_legendre(f, lo, hi, tol, parts=blocks)
+            for where, j, i, pref, inv in sums:  # a 1/t row adds 0 to its closed form
+                v = e = 0.0
+                if i > j:  # the part's root sums, by root
+                    v = pref * roots[:, j:i].cumsum(axis=1)[:, -1]
+                    e = abs(pref) * errs[:, j:i].cumsum(axis=1)[:, -1]
+                value, err = value + (v + inv * inv_t), err + e
                 if not np.isfinite(value + err).all():  # err >= 0: NaN and inf show in the sum
                     raise OverflowError
     except (OverflowError, UnrepresentableMeasure) as exc:
-        name = kernel if isinstance(kernel, str) else "the resolvent"
+        name = "the resolvent" if z is not None else ", ".join(kernels)
         raise UnrepresentableMeasure(
             f"{where}: its integral against {name} or its quadrature rule is out of float range"
         ) from exc
-    if isinstance(kernel, Resolvent) and z.ndim:
-        return value + np.zeros(z.shape, complex), err + np.zeros(z.shape)
-    if isinstance(kernel, Resolvent) and z.imag != 0.0:
-        return complex(value), err
-    return float(np.real(value)), err
+    n = len(rows) if z is None else z.size  # no -0.0 to lose: every sum starts from 0.0
+    value, err = value + np.zeros(n, float if z is None else complex), err + np.zeros(n)
+    if z is not None:
+        return (value, err) if z.ndim else (complex(value[0]), err[0])
+    pairs = dict(zip(rows, zip(value.tolist(), err.tolist())))
+    pairs = [pairs.get(k, (math.inf, 0.0)) for k in kernels]
+    return pairs[0] if isinstance(kernel, str) else tuple(zip(*pairs))
 
 
 def moments(sigma: SpectralMeasure, tol: float = DEFAULT_TOL) -> Moments:
-    """The a = 1/(1+t), b = 1/t and i2 = 1/(1+t^2) moments of sigma."""
-    a, err_a = integrate_weighted(sigma, INV_1PLUS_T, tol)
-    b, err_b = integrate_weighted(sigma, INV_T, tol)
-    i2, err_i2 = integrate_weighted(sigma, INV_1PLUS_T2, tol)
-    return Moments(a=a, b=b, i2=i2, err_a=err_a, err_b=err_b, err_i2=err_i2)
+    """The a = 1/(1+t), b = 1/t and i2 = 1/(1+t^2) moments of sigma, in one pass."""
+    values, errs = integrate_weighted(sigma, (INV_1PLUS_T, INV_T, INV_1PLUS_T2), tol)
+    return Moments(*values, *errs)
 
 
 def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:

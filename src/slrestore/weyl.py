@@ -124,8 +124,8 @@ class WeylEvaluator:
     ode_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.ode_tol < math.inf:
-            raise ValidationError(f"ode_tol must be positive and finite, got {self.ode_tol}")
+        if not 0.0 < self.ode_tol < 1.0:  # a relative tolerance of 1 asks for no correct digit
+            raise ValidationError(f"ode_tol must lie in (0, 1), got {self.ode_tol}")
 
 
 @dataclass(frozen=True)

@@ -253,11 +253,17 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
                 "tolerances": {"verify": -1}}, "tolerances.verify: expected a positive number"),
     ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0, "potential": ZERO_POTENTIAL,
                 "tolerances": {"verify": 0}}, "tolerances.verify: expected a positive number"),
+    # an rtol >= 1 asks for no correct digit; the table propagation would misread it
+    ("weyl", {"potential": {"q": {"kind": "table", "grid": [0.0, 0.5, 1.0],
+                                  "values": [1.0, 0.2, 0.5], "cutoff": 1.5, "q_inf": 0.5}},
+              "lambdas": [[-1.0, 0.5]], "tolerances": {"ode": 10}},
+     "tolerances.ode: expected a number in (0, 1)"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
-        "gamma-int-overflow", "table-no-knots", "verify-tol-neg", "verify-tol-zero"])
+        "gamma-int-overflow", "table-no-knots", "verify-tol-neg", "verify-tol-zero",
+        "weyl-ode-tol-10"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
@@ -279,6 +285,17 @@ RICH_MEASURE = {
                {"kind": "table", "knots": [1.0, 1.5, 2.0], "values": [0.2, 0.3, 0.1]}],
     "tail": {"T": 2.0, "coeff": 0.3, "exponent": 1.5},
 }
+
+
+def test_table_weyl_job_at_a_small_ode_tol(tmp_path):
+    # the job that tolerances.ode = 10 rejects above, at a tolerance in (0, 1)
+    job = {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]], "tolerances": {"ode": 1e-10}}
+    out = tmp_path / "m.csv"
+    assert _run("weyl", _write_job(tmp_path, "job.json", job), out) == 0
+    m = complex(*map(float, out.read_text().splitlines()[1].split(",")[2:4]))
+    assert abs(m - (1.278 - 0.205j)) < 1e-3
+
+
 VALID_JOBS = [
     ("classify", {"measure": PAPER_MEASURE, "gamma": 0.5}),
     ("moments", {"measure": RICH_MEASURE}),

@@ -9,6 +9,7 @@ power-law pieces and tails); the Gauss-Jacobi origin rules against a
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -17,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import slrestore.measure as measure_module
+from slrestore import cli
 from slrestore.errors import (
     DivergentAtOrigin,
     NonIntegrable,
@@ -41,6 +43,7 @@ from slrestore.measure import (
     measure_to_json,
     moments,
 )
+from slrestore.stieltjes import StieltjesLikeFunction, eval_V, log_polar_grid
 
 
 # -- quadrature core ----------------------------------------------------------
@@ -229,13 +232,21 @@ def test_vector_rows_on_root_panels_equal_the_scalar_calls():
             lambda t: piece.density(t) / (t - zj), knots[:-1], knots[1:])
 
 
+class _Calls(list):
+    """Sizes of integrand calls; ``passes`` counts the quadrature calls that made them."""
+
+    passes = 0
+
+
 @pytest.fixture
 def integrand_calls(monkeypatch):
     """Sizes of the integrand calls that integrate_weighted's quadrature makes."""
-    sizes = []
+    sizes = _Calls()
     quadrature = measure_module.adaptive_gauss_legendre
 
     def counting(f, *args, **kwargs):
+        sizes.passes += 1
+
         def g(t):
             sizes.append(np.size(t))
             # fail fast where a missing breadth cap would run away
@@ -655,3 +666,173 @@ def test_json_field_errors_name_the_path(obj, path):
     with pytest.raises(ValidationError) as info:
         measure_from_json(obj)
     assert str(info.value).startswith(path)
+
+
+# -- one pass per measure: values pinned, calls counted ----------------------------
+
+# one inline measure per quad-sweep shape, with atoms and a tail; the worked
+# example is the paper_measure fixture
+_SHAPES = {
+    "power-law-and-table": SpectralMeasure(
+        atoms=(Atom(0.7, 0.3), Atom(3.1, 0.12)),
+        pieces=(PowerLawPiece(0.0, 0.55, 0.9, -0.45),
+                TablePiece((0.55, 1.2, 2.0, 3.3, 4.1, 5.5), (0.4, 0.8, 0.25, 0.6, 0.9, 0.3))),
+        tail=Tail(5.5, 0.45, 0.65), declared_infinite_mass=True),
+    "table-positive-at-0": SpectralMeasure(
+        atoms=(Atom(1.9, 0.2), Atom(5.0, 0.4)),
+        pieces=(TablePiece((0.0, 0.6, 1.3, 2.7, 4.0, 6.2), (0.5, 0.2, 0.9, 0.35, 0.7, 0.15)),),
+        tail=Tail(6.2, 0.3, 0.4), declared_infinite_mass=True),
+    "vanishing-power-law-and-table": SpectralMeasure(
+        atoms=(Atom(0.25, 0.08), Atom(6.1, 0.33)),
+        pieces=(PowerLawPiece(0.0, 0.8, 0.7, 0.85),
+                TablePiece((0.8, 1.5, 2.9, 4.4, 7.0), (0.3, 0.95, 0.5, 0.2, 0.6))),
+        tail=Tail(7.0, 0.6, 0.9), declared_infinite_mass=True),
+    "table-vanishing-at-0": SpectralMeasure(
+        atoms=(Atom(0.9, 0.15), Atom(4.2, 0.05)),
+        pieces=(TablePiece((0.0, 0.4, 1.1, 2.5, 3.6, 4.8), (0.0, 0.55, 0.3, 0.85, 0.4, 0.65)),),
+        tail=Tail(4.8, 0.2, 0.3), declared_infinite_mass=True),
+}
+
+# float.hex of moments (a, b, i2, err_a, err_b, err_i2) and of eval_V on
+# log_polar_grid(5, 4) (real, imaginary), as one quadrature call per part and
+# per kernel computed them
+_PINNED = {
+    "paper": (
+        "0x1.0000000000001p+0 inf 0x1.6a09e667f3bcep-1 "
+        "0x1.69999b9cbda71p-44 0x0.0p+0 0x1.73c933d3a28b6p-52",
+        "0x1.38b405b5e545fp+3 0x1.e133654518242p+4 0x1.2965ff595f04dp+4 0x1.995575277a344p+4 "
+        "0x1.995575277a343p+4 0x1.2965ff595f04ep+4 0x1.e133654518242p+4 0x1.38b405b5e545ep+3 "
+        "0x1.bcdbe3f142390p+0 0x1.5648a4c6cca52p+2 0x1.a716041ce72d0p+1 0x1.2329f9556abf7p+2 "
+        "0x1.2329f9556abf8p+2 0x1.a716041ce72d1p+1 0x1.5648a4c6cca51p+2 0x1.bcdbe3f142393p+0 "
+        "0x1.3c6ef372fe953p-2 0x1.e6f0e13445500p-1 0x1.2cf2304755a5fp-1 0x1.9e3779b97f4aap-1 "
+        "0x1.9e3779b97f4a9p-1 0x1.2cf2304755a60p-1 0x1.e6f0e13445502p-1 0x1.3c6ef372fe953p-2 "
+        "0x1.c22a64f6ab1c8p-5 0x1.5a5de7ae00947p-3 0x1.ac2207b70ea9ap-4 0x1.26a320595fc12p-3 "
+        "0x1.26a320595fc11p-3 0x1.ac2207b70ea9bp-4 0x1.5a5de7ae00948p-3 0x1.c22a64f6ab1c5p-5 "
+        "0x1.40354555e8ba6p-7 0x1.ecbfe4a0dd541p-6 0x1.308936a125e85p-6 0x1.a3286794f8043p-6 "
+        "0x1.a3286794f8044p-6 0x1.308936a125e84p-6 0x1.ecbfe4a0dd542p-6 0x1.40354555e8ba5p-7"),
+    "power-law-and-table": (
+        "0x1.1c52b3e366319p+1 inf 0x1.d4d05cd6b0418p+0 "
+        "0x1.e3c046018710fp-50 0x0.0p+0 0x1.0bb379bc9a5d3p-45",
+        "0x1.aa435fcd75b51p+4 0x1.cfe7770923b12p+5 0x1.4de37ff6ed829p+5 0x1.8094e3a12c982p+5 "
+        "0x1.abb8753698f43p+5 0x1.12b7e096471ebp+5 0x1.e72d03e513499p+5 0x1.1e13d268b5821p+4 "
+        "0x1.47ddaf67d6808p+2 0x1.8838880922585p+3 0x1.09fc85fb333c6p+3 0x1.452e1f7a3b5a9p+3 "
+        "0x1.5946e587ead81p+3 0x1.d097a50007686p+2 0x1.8b847f80351c6p+3 0x1.e3cfb16e3eacdp+1 "
+        "0x1.665d4224a2e0ap-2 0x1.498027c3cfb52p+1 0x1.2dd28b0248136p+0 0x1.0f42097cf2735p+1 "
+        "0x1.bfd7b8e855614p+0 0x1.824b43b77060fp+0 0x1.0cff3f12e8d63p+1 0x1.91ad73c5a9b2ap-1 "
+        "-0x1.0a2547e57e973p-4 0x1.b3b37f0750f64p-3 0x1.5a6bd21fb3d13p-5 0x1.c96a4b769967ap-3 "
+        "0x1.1de934f272a0bp-3 0x1.7200f7c059350p-3 0x1.a3e0355f940a4p-3 0x1.99474419436d5p-4 "
+        "-0x1.6dc77be48d99cp-9 0x1.37167796c175ap-6 0x1.61b52421bb445p-8 0x1.32ace0716f624p-6 "
+        "0x1.a468cecadba5bp-7 0x1.e97e5b70013fap-7 0x1.27086e321ae47p-6 0x1.0f44511f1ec42p-7"),
+    "table-positive-at-0": (
+        "0x1.77bfb94ee31eap+0 inf 0x1.841994d1960acp-1 "
+        "0x1.0610afe5a9476p-51 0x0.0p+0 0x1.36581d50f18bep-52",
+        "0x1.2d9301bd4f765p+2 0x1.40f6f635594a8p+0 0x1.2daf66360fc31p+2 0x1.e0dd62a018a09p-1 "
+        "0x1.2dca6c74d6c32p+2 0x1.404365d30fa0fp-1 0x1.2ddd7f482d4aep+2 0x1.400fab66b504dp-2 "
+        "0x1.7cafabd4988e2p+1 0x1.32e44ee3698a3p+0 0x1.80171bfe63845p+1 0x1.c8209458d3e1bp-1 "
+        "0x1.82734ca4f8a0ap+1 0x1.2ea42be45075dp-1 0x1.83c7caf20f80bp+1 0x1.2e03d22f5afeap-2 "
+        "0x1.b84b431bd29c6p+0 0x1.57ebbb664e27ap+0 0x1.852ce6d7a1a47p+0 0x1.dda044b35e60dp-1 "
+        "0x1.799c89afd9e70p+0 0x1.30a042be36440p-1 0x1.77c4c175bfcacp+0 0x1.298f84a4e9f7ep-2 "
+        "0x1.3451a19b70912p-4 0x1.09b641b645dcdp-2 0x1.5657bdf2fbb53p-3 0x1.ec1b00fe5252dp-3 "
+        "0x1.f6011df0f1890p-3 0x1.723e46d0d6285p-3 0x1.2da10c0b055b1p-2 0x1.895c14d7a792cp-4 "
+        "0x1.03e77016af348p-5 0x1.bb1a4d79cdb3cp-5 0x1.6fe419f424ea6p-5 0x1.6fc36c0cdd64ep-5 "
+        "0x1.c676e207a10fcp-5 0x1.07d019fb1a391p-5 0x1.fea4442402625p-5 0x1.13c4371332f73p-6"),
+    "vanishing-power-law-and-table": (
+        "0x1.2f49ba916ba71p+0 0x1.2ecc021dc8563p+1 0x1.77f9cdad7d626p-1 "
+        "0x1.b50c820ae1618p-51 0x1.7000000000000p-51 0x1.ac8f6e5d0e28fp-44",
+        "0x1.2f6f6bc4ea0d5p+1 0x1.4266199e40401p-7 0x1.2ebcc60f4b0d4p+1 0x1.657b6887ceab1p-7 "
+        "0x1.2e1186e77e995p+1 0x1.2e2f2182c292ap-7 0x1.2d97571b60c45p+1 0x1.5837ffa617e92p-8 "
+        "0x1.3728747b9cec8p+1 0x1.59b4ef4bbf276p-3 0x1.2bac1ad078626p+1 0x1.61da77d7aee19p-3 "
+        "0x1.221d71395619dp+1 0x1.15c7b6825f164p-3 0x1.1c19fcc00d787p+1 0x1.2ca3c6af8c1bep-4 "
+        "0x1.532191b0a6fc8p+0 0x1.55fdb7580596dp+0 0x1.37430b13c7896p+0 0x1.d4cf5b14044fdp-1 "
+        "0x1.31455ddab038ep+0 0x1.2368f5b1c7708p-1 0x1.2fa7ab8c31489p+0 0x1.175f7650eaa94p-2 "
+        "-0x1.548e760361936p-4 0x1.378d44f57e3f4p-3 0x1.205c6512aef74p-7 0x1.52f11c3e5e153p-3 "
+        "0x1.611f2eb6fc3a6p-4 0x1.0f625f9861e77p-3 0x1.14327564c5d62p-3 0x1.27e80bd280d86p-4 "
+        "-0x1.3d2343b28dfc5p-8 0x1.dbff496befbc6p-8 -0x1.a66d8e93945e6p-12 0x1.1b4abb7a04598p-7 "
+        "0x1.0aeada0a63a74p-8 0x1.f053c6032b0cbp-8 0x1.e1d616353ae46p-8 0x1.1fc7a5da919c4p-8"),
+    "table-vanishing-at-0": (
+        "0x1.537c729c6c69ep+0 0x1.35b535d9e7c12p+1 0x1.64afe5cfc6d84p-1 "
+        "0x1.1982c14a82555p-51 0x1.bde0000000000p-41 0x1.8cc8843df8700p-52",
+        "0x1.367002fbb2572p+1 0x1.13a5dcf213cb1p-7 0x1.35c5442835c4ap+1 0x1.44134b17ccf9fp-7 "
+        "0x1.351ea04faac24p+1 0x1.1866b75aea4eap-7 0x1.34a72cad0e91ep+1 0x1.427b6cb5ce25dp-8 "
+        "0x1.3d2ac39de1835p+1 0x1.68aa14aa4d0a1p-3 0x1.31edc741b3462p+1 0x1.5a0b8f7f8ea7ap-3 "
+        "0x1.29370f42bc589p+1 0x1.07be2aee50757p-3 0x1.23d5ce4471f09p+1 0x1.1a207e65e4ee1p-4 "
+        "0x1.5e41030cee1a4p+0 0x1.4f23c75e2bb8bp+0 0x1.5a1b4e627facep+0 0x1.bf5ae76f1b072p-1 "
+        "0x1.55e8eb591a0e8p+0 0x1.135f95665a716p-1 0x1.540502ac3617ep+0 0x1.06e7cf5268c4dp-2 "
+        "0x1.366dda6bb34acp-3 0x1.d4cb7be87fb7ep-3 0x1.c062192c26cd8p-3 0x1.a73dee1a5ba73p-3 "
+        "0x1.1cee9083bed2ap-2 0x1.3c67ef005818ep-3 0x1.447fb781420bfp-2 0x1.4ff13c392c53fp-4 "
+        "0x1.1db95488b227ap-4 0x1.16adbd43813b3p-4 0x1.4fc891ff809d5p-4 0x1.bbcc1e0913cdfp-5 "
+        "0x1.76bf0a29c34b8p-4 0x1.356ca7ccd5e04p-5 0x1.8f96bf6f271e7p-4 0x1.3e21aeca6721dp-6"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_one_pass_is_bit_identical_to_the_per_part_calls(name, paper_measure):
+    sigma = paper_measure if name == "paper" else _SHAPES[name]
+    mom_hex, v_hex = _PINNED[name]
+    mom = moments(sigma)
+    assert [float.hex(x) for x in (mom.a, mom.b, mom.i2, mom.err_a, mom.err_b, mom.err_i2)] \
+        == mom_hex.split()
+    v = eval_V(StieltjesLikeFunction(sigma, 0.0), log_polar_grid(5, 4))
+    assert [float.hex(x) for z in v.tolist() for x in (z.real, z.imag)] == v_hex.split()
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_moments_is_one_quadrature_pass(name, paper_measure, integrand_calls):
+    moments(paper_measure if name == "paper" else _SHAPES[name])
+    assert integrand_calls.passes == 1
+
+
+def test_eval_V_on_the_verify_grid_is_one_quadrature_pass(paper_measure, integrand_calls):
+    # piece and tail in one pass: one integrand call per level of the deepest point
+    eval_V(StieltjesLikeFunction(paper_measure, 0.0), log_polar_grid(5, 4))
+    assert integrand_calls.passes == 1 and 1 <= len(integrand_calls) <= 8
+
+
+def _wrap_integrands(monkeypatch, wrap):
+    """Replace the integrand of every adaptive_gauss_legendre call by wrap(f), a one-argument
+    g(t), through the module global: what the benchmark's tracer does."""
+    quadrature = measure_module.adaptive_gauss_legendre
+
+    def wrapper(*args, **kwargs):
+        if args and callable(args[0]):
+            args = (wrap(args[0]),) + args[1:]
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(measure_module, "adaptive_gauss_legendre", wrapper)
+
+
+def test_a_one_argument_integrand_wrapper_sees_every_node(tmp_path, monkeypatch, paper_measure):
+    # the quadrature maps u to t and applies the density and 1/u**2 factors itself,
+    # so f(t) alone carries every node: counting it changes no artifact, and an f
+    # that reads 0 leaves only the atoms and the closed forms
+    jobs = {"verify": {"measure": measure_to_json(paper_measure), "gamma": 0.5,
+                       "potential": {"a": 0.0, "q": {"kind": "zero"}}},
+            "moments": {"measure": measure_to_json(_SHAPES["power-law-and-table"])}}
+
+    def artifacts(tag):
+        out = {}
+        for command, job in jobs.items():
+            path, target = tmp_path / f"{command}.json", tmp_path / f"{command}-{tag}.out"
+            path.write_text(json.dumps(job))
+            assert cli.main([command, "--job", str(path), "--out", str(target), "--quiet"]) == 0
+            out[command] = target.read_bytes()
+        return out
+
+    plain, seen = artifacts("plain"), []
+
+    def counted(f):
+        def g(t):
+            seen.append(np.size(t))
+            return f(t)
+        return g
+
+    _wrap_integrands(monkeypatch, counted)
+    assert artifacts("counted") == plain and min(seen) > 0
+    _wrap_integrands(monkeypatch, lambda f: lambda t: 0.0 * f(t))
+    mom = moments(paper_measure)
+    assert (mom.a, mom.i2, mom.err_a, mom.err_i2) == (0.0, 0.0, 0.0, 0.0)
+    grid = log_polar_grid(5, 4)
+    assert not eval_V(StieltjesLikeFunction(paper_measure, 0.0), grid).any()
+    mom = moments(_SHAPES["power-law-and-table"])
+    assert mom.a == 0.3 * (1.0 / (1.0 + 0.7)) + 0.12 * (1.0 / (1.0 + 3.1))
+    assert mom.i2 == 0.3 * (1.0 / (1.0 + 0.7 * 0.7)) + 0.12 * (1.0 / (1.0 + 3.1 * 3.1))

@@ -116,8 +116,8 @@ def test_eval_array_closed_form(paper_function):
 
 
 def test_eval_array_one_integrand_call_per_level(paper_function, monkeypatch):
-    # the array call takes, per root integral (piece, tail), one integrand call
-    # per depth level: as many as its deepest point needs alone
+    # the array call is one quadrature pass over both parts (piece, tail), with one
+    # integrand call per depth level: as many as its deepest point needs alone
     calls = []
     quadrature = measure_module.adaptive_gauss_legendre
 
@@ -138,7 +138,7 @@ def test_eval_array_one_integrand_call_per_level(paper_function, monkeypatch):
         eval_V(paper_function, z)
     per_z = np.array(calls).reshape(len(grid), -1)
     assert array_calls == per_z.max(axis=0).tolist()
-    assert len(array_calls) == 2 and sum(array_calls) < per_z.sum() / 5
+    assert len(array_calls) == 1 and sum(array_calls) < per_z.sum() / 5
 
 
 # -- sampled checks -----------------------------------------------------------

@@ -275,7 +275,7 @@ def test_operator_data_validation():
 def test_evaluator_validation(zero_potential):
     with pytest.raises(ValidationError):
         WeylEvaluator(potential=zero_potential, ode_tol=0.0)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, 1.0, 10.0):
         with pytest.raises(ValidationError, match="ode_tol"):
             WeylEvaluator(potential=zero_potential, ode_tol=bad)
 
