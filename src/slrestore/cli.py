@@ -21,7 +21,8 @@ from .measure import JsonField, classify, measure_from_json, moments
 from .pipeline import run_restore, run_verify
 from .restore import sweep
 from .stieltjes import log_polar_grid
-from .weyl import HalfLinePotential, OperatorData, WeylEvaluator, weyl_m
+from .system import VERIFY_TOL
+from .weyl import ODE_TOL, HalfLinePotential, OperatorData, WeylEvaluator, weyl_m
 
 COMMANDS = ("classify", "moments", "restore", "sweep", "verify", "weyl")
 
@@ -105,7 +106,7 @@ def _evaluator(job: JsonField, needed_by: str = "") -> Optional[WeylEvaluator]:
             cutoff=q["cutoff"].number(), q_inf=q.get("q_inf", 0.0).number())
     else:
         raise ValidationError(f"{q.path}.kind: unknown potential kind {kind!r}")
-    return WeylEvaluator(potential=potential, ode_tol=_tolerance(job, "ode", 1e-10, below=1.0))
+    return WeylEvaluator(potential=potential, ode_tol=_tolerance(job, "ode", ODE_TOL, below=1.0))
 
 
 def _operator(job: JsonField) -> Optional[OperatorData]:
@@ -157,8 +158,7 @@ def _cmd_restore(job: JsonField) -> bytes:
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
     ev = _evaluator(job)
-    result = run_restore(sigma, gamma, operator=_operator(job),
-                         potential=ev and ev.potential, evaluator=ev)
+    result = run_restore(sigma, gamma, operator=_operator(job), potential=ev and ev.potential)
     r = result.restored
     return _json_bytes({
         "h_re": r.h.real, "h_im": r.h.imag, "mu": _fmt(r.mu),
@@ -180,7 +180,7 @@ def _cmd_sweep(job: JsonField) -> bytes:
     mom = moments(sigma)
     from .pipeline import resolve_operator_data
 
-    od = resolve_operator_data(mom, _operator(job), ev and ev.potential, ev)
+    od = resolve_operator_data(mom, _operator(job), ev and ev.potential)
     s = sweep(mom.b, od.theta, od.m, od.xi, gammas)
     alpha = s.alpha.astype(object)  # the angle, or the label where none exists
     alpha[s.sector == 1] = "extremal"
@@ -197,8 +197,8 @@ def _cmd_verify(job: JsonField):
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
     ev = _evaluator(job, needed_by="verify")
-    return run_verify(sigma, gamma, ev.potential, operator=_operator(job), evaluator=ev,
-                      tol=_tolerance(job, "verify", 1e-6))
+    return run_verify(sigma, gamma, ev.potential, operator=_operator(job), ode_tol=ev.ode_tol,
+                      tol=_tolerance(job, "verify", VERIFY_TOL))
 
 
 def _cmd_weyl(job: JsonField) -> bytes:

@@ -11,8 +11,9 @@ A weighted integral is one pass of breadth-first adaptive Gauss-Legendre quadrat
 on the root panels of all parts: table knot segments in t, power laws in u = sqrt(t)
 and the tail in u = sqrt(T/t), with Gauss-Jacobi origin panels.  Kernels are rows
 (each z of a resolvent, or the three moments), each refining its own panels; 1/t has
-closed forms on power laws and the tail.  Capped refinement ends silently, its error
-still counted; the breadth cap counts the panels of all parts together.
+closed forms on power laws and the tail.  Every integral has the one absolute
+tolerance QUAD_TOL.  Capped refinement ends silently, its error still counted; the
+breadth cap counts the panels of all parts together.
 """
 from __future__ import annotations
 
@@ -59,8 +60,8 @@ INV_T = "inv_t"
 INV_1PLUS_T = "inv_1plus_t"
 INV_1PLUS_T2 = "inv_1plus_t2"
 
-#: Default absolute tolerance for a single weighted integral.
-DEFAULT_TOL = 1e-11
+#: Absolute tolerance of every weighted integral, per kernel row and root.
+QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,13 @@ _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 
 #: Breadth cap: most (panel, row) pairs one refinement level may hold (or the
-#: root count times the rows, if larger).  Past it, tol is below the round-off
-#: of the integrand: a panel is bisected while its rule difference exceeds tol
+#: root count times the rows, if larger).  Past it, QUAD_TOL is below the round-off
+#: of the integrand: a panel is bisected while its rule difference exceeds QUAD_TOL
 #: times its share of its root's width, and that share halves with every level.
 _MAX_PANELS = 1 << 14
+
+#: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
+_MAX_DEPTH = 52
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,15 +253,15 @@ def _jacobi_rule(p: float):
     return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int = 52, parts=None):
+def adaptive_gauss_legendre(f, lo, hi, parts=None):
     """Integrate f(t) over root panels [lo, hi] (scalars or 1-D arrays), in one pass.
 
     f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel parameter.
-    Each row and root gets absolute tolerance tol (hi <= lo adds 0).  Each depth level
+    Each row and root gets absolute tolerance QUAD_TOL (hi <= lo adds 0).  Each depth level
     is one call of f on the 10- and 21-point Gauss-Legendre nodes (not nested) of every
     panel that some row still needs; a row accepts or bisects each of its panels by its
-    own rule difference, as it would alone, until the depth or breadth cap (at most
-    max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call) accepts a whole level
+    own rule difference, as it would alone, until the depth (_MAX_DEPTH) or breadth cap (at
+    most max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call) accepts a whole level
     silently, its error still summed.  Sums run right to left per root, then by root.
     Returns (value, err) of shape (n,) (scalars if f returns 1-D).  parts, one (stop, p,
     chart) per block of roots up to index stop, puts those roots in u: weight u**p (a
@@ -274,7 +278,7 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
     a, b = lo[root], hi[root]
     need = True  # (row, panel) pairs still open
     levels = []  # (accepted mask, root, left end, value, error) per depth level
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
         t, weights, scaled = np.empty_like(u) if per_root else u, _WEIGHTS, []
@@ -301,11 +305,11 @@ def adaptive_gauss_legendre(f, lo, hi, tol: float = DEFAULT_TOL, max_depth: int 
         d = i_hi - i_lo
         e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
         # rows share the panels; each splits only those it still needs
-        split = ~(e <= tol * ((b - a) / width0[root])) & need
+        split = ~(e <= QUAD_TOL * ((b - a) / width0[root])) & need
         bisect = split.any(axis=0)
         n_bisect, rows = np.count_nonzero(bisect), len(split)
         # depth and breadth caps: accept the rest as they stand; their e still counts
-        if depth == max_depth or 2 * n_bisect * rows > max(_MAX_PANELS, rows * lo.size):
+        if depth == _MAX_DEPTH or 2 * n_bisect * rows > max(_MAX_PANELS, rows * lo.size):
             split[...] = n_bisect = 0
         levels.append((need ^ split, root, a, i_hi, e))  # split is a subset of need
         if not n_bisect:
@@ -338,7 +342,7 @@ def _b_divergent(sigma: SpectralMeasure) -> bool:
                                 else p.exponent <= 0.0) for p in sigma.pieces)
 
 
-def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel, tol: float = DEFAULT_TOL):
+def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
     """Compute integral of the kernel against sigma.
 
     Returns (value, error_estimate).  The value is +inf (extended real) when
@@ -409,7 +413,7 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel, tol: float = DEFA
                     blocks.append((len(lo), p, chart))
                 sums.append((where, j, len(lo), pref, inv))
             if blocks:
-                roots, errs = adaptive_gauss_legendre(f, lo, hi, tol, parts=blocks)
+                roots, errs = adaptive_gauss_legendre(f, lo, hi, parts=blocks)
             for where, j, i, pref, inv in sums:  # a 1/t row adds 0 to its closed form
                 v = e = 0.0
                 if i > j:  # the part's root sums, by root
@@ -432,9 +436,9 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel, tol: float = DEFA
     return pairs[0] if isinstance(kernel, str) else tuple(zip(*pairs))
 
 
-def moments(sigma: SpectralMeasure, tol: float = DEFAULT_TOL) -> Moments:
+def moments(sigma: SpectralMeasure) -> Moments:
     """The a = 1/(1+t), b = 1/t and i2 = 1/(1+t^2) moments of sigma, in one pass."""
-    values, errs = integrate_weighted(sigma, (INV_1PLUS_T, INV_T, INV_1PLUS_T2), tol)
+    values, errs = integrate_weighted(sigma, (INV_1PLUS_T, INV_T, INV_1PLUS_T2))
     return Moments(*values, *errs)
 
 
@@ -517,7 +521,7 @@ class JsonField:
         return tuple(x.number() for x in self.items(n))
 
 
-def measure_from_json(obj, validate: bool = True) -> SpectralMeasure:
+def measure_from_json(obj) -> SpectralMeasure:
     """Parse the measure JSON schema (see README), a dict or a JsonField, into a
     SpectralMeasure; errors name the field's path (from ``measure`` for a dict)."""
     node = obj if isinstance(obj, JsonField) else JsonField(obj, "measure")
@@ -537,8 +541,7 @@ def measure_from_json(obj, validate: bool = True) -> SpectralMeasure:
     tail = None if t.value is None else Tail(t["T"].number(), t["coeff"].number(),
                                              t["exponent"].number())
     return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail,
-                           declared_infinite_mass=bool(node.get("infinite_mass", False).value),
-                           validate=validate)
+                           declared_infinite_mass=bool(node.get("infinite_mass", False).value))
 
 
 def measure_to_json(sigma: SpectralMeasure) -> dict:

@@ -1,16 +1,20 @@
-"""End-to-end glue: measure + boundary data -> restored system -> verification."""
+"""End-to-end glue: measure + boundary data -> restored system -> verification.
+
+One potential gives m_inf(-0) and c to the restoration and m_inf to its check.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ValidationError
 from .measure import ClassTag, Moments, SpectralMeasure, classify, moments
 from .restore import RestoredSystem, restore_system
 from .stieltjes import StieltjesLikeFunction, log_polar_grid
-from .system import SystemParams, VerifyReport, verify_realization, weyl_m_fn
+from .system import VERIFY_TOL, SystemParams, VerifyReport, verify_realization, weyl_m_fn
 from .weyl import (
+    ODE_TOL,
     HalfLinePotential,
     OperatorData,
     WeylEvaluator,
@@ -31,47 +35,41 @@ class PipelineResult:
 
 def resolve_operator_data(mom: Moments,
                           operator: Optional[OperatorData] = None,
-                          potential: Optional[HalfLinePotential] = None,
-                          evaluator: Optional[WeylEvaluator] = None) -> OperatorData:
+                          potential: Optional[HalfLinePotential] = None) -> OperatorData:
     """Fill in (theta, m, c, xi) from explicit data and/or a potential.
 
     For b = inf, theta is forced to -m and xi = i2/c; c comes from the
     explicit data or, for q = 0, from the closed form.  For finite b, theta
     must be supplied explicitly (it is not derivable from the potential).
+    Both are settled before m = m_inf(-0) is derived, so a potential yields m
+    only for q = 0, where it is a closed form.
     """
-    b_infinite = math.isinf(mom.b)
     if operator is None and potential is None:
         raise ValidationError("operator data or a potential is required")
-    m = operator.m if operator is not None else None
-    theta = operator.theta if operator is not None else None
-    c = operator.c if operator is not None else None
-    xi = operator.xi if operator is not None else None
+    b_infinite = math.isinf(mom.b)
+    if operator is None and not b_infinite:
+        raise ValidationError("finite 1/t moment: theta must be given explicitly")
+    theta, m, c, xi = (None,) * 4 if operator is None else (
+        operator.theta, operator.m, operator.c, operator.xi)
+    if b_infinite and xi is None and c is None:
+        if potential is None:
+            raise ValidationError("b = inf needs xi or c (or a q = 0 potential)")
+        c = boundary_trace_constant(potential)
     if m is None:
-        ev = evaluator or WeylEvaluator(potential=potential)
-        m = float(weyl_m_at_minus_zero(ev))
+        m = float(weyl_m_at_minus_zero(WeylEvaluator(potential=potential)))
     if b_infinite:
         theta = -m
-        if xi is None:
-            if c is None:
-                if potential is None:
-                    raise ValidationError(
-                        "b = inf needs xi or c (or a q = 0 potential)"
-                    )
-                c = boundary_trace_constant(potential)
-            xi = mom.i2 / c
-    elif theta is None:
-        raise ValidationError("finite 1/t moment: theta must be given explicitly")
+        xi = mom.i2 / c if xi is None else xi
     return OperatorData(theta=theta, m=m, c=c, xi=xi)
 
 
 def run_restore(sigma: SpectralMeasure, gamma: float,
                 operator: Optional[OperatorData] = None,
-                potential: Optional[HalfLinePotential] = None,
-                evaluator: Optional[WeylEvaluator] = None) -> PipelineResult:
+                potential: Optional[HalfLinePotential] = None) -> PipelineResult:
     """Classify the input function and restore (h, mu) with all flags."""
     class_tag = classify(sigma, gamma)
     mom = moments(sigma)
-    od = resolve_operator_data(mom, operator, potential, evaluator)
+    od = resolve_operator_data(mom, operator, potential)
     restored = restore_system(mom.b, gamma, od.theta, od.m, od.xi, class_tag)
     return PipelineResult(restored=restored, moments=mom, operator=od,
                           class_tag=class_tag)
@@ -80,17 +78,17 @@ def run_restore(sigma: SpectralMeasure, gamma: float,
 def run_verify(sigma: SpectralMeasure, gamma: float,
                potential: HalfLinePotential,
                operator: Optional[OperatorData] = None,
-               evaluator: Optional[WeylEvaluator] = None,
-               sample_z: Optional[Sequence[complex]] = None,
-               tol: float = 1e-6) -> VerifyReport:
-    """Restore from the measure, then check the forward model against V."""
-    result = run_restore(sigma, gamma, operator, potential, evaluator)
-    ev = evaluator or WeylEvaluator(potential=potential)
+               ode_tol: float = ODE_TOL,
+               tol: float = VERIFY_TOL) -> VerifyReport:
+    """Restore from the measure, then check the forward model against V.
+
+    The forward model's m_inf is the potential's at relative tolerance
+    ode_tol; the samples are the 5 x 4 log-polar grid.
+    """
+    ev = WeylEvaluator(potential=potential, ode_tol=ode_tol)
+    result = run_restore(sigma, gamma, operator, potential)
     params = SystemParams(h=result.restored.h, mu=result.restored.mu,
                           m_fn=weyl_m_fn(ev),
                           theta_expected=result.operator.theta)
-    if sample_z is None:
-        sample_z = log_polar_grid(n_radius=5, n_angle=4)
     f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
-    return verify_realization(f, params, sample_z, tol=tol,
-                              class_tag=result.class_tag)
+    return verify_realization(f, params, log_polar_grid(n_radius=5, n_angle=4), tol=tol)

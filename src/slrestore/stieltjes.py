@@ -1,4 +1,4 @@
-"""Evaluation of V(z) = gamma + integral d(sigma)/(t - z) and analytic checks."""
+"""Evaluation of V(z) = gamma + integral d(sigma)/(t - z) and checks passing to -CHECK_TOL."""
 from __future__ import annotations
 
 import math
@@ -8,13 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measure import (
-    DEFAULT_TOL,
-    Resolvent,
-    SpectralMeasure,
-    integrate_weighted,
-    moments,
-)
+from .measure import Resolvent, SpectralMeasure, integrate_weighted, moments
 
 __all__ = [
     "StieltjesLikeFunction",
@@ -43,26 +37,29 @@ class CheckReport:
     tolerance: float
 
 
-def log_polar_grid(n_radius: int = 7, n_angle: int = 7,
-                   r_min: float = 1e-3, r_max: float = 1e3) -> list:
-    """Default evaluation grid: log-spaced radii, angles strictly inside (0, pi)."""
-    radii = np.logspace(math.log10(r_min), math.log10(r_max), n_radius)
+#: Most negative value a sampled Herglotz or Stieltjes check lets pass.
+CHECK_TOL = 1e-10
+
+
+def log_polar_grid(n_radius: int = 7, n_angle: int = 7) -> list:
+    """Default evaluation grid: radii log-spaced on [1e-3, 1e3], angles strictly inside (0, pi)."""
+    radii = np.logspace(-3.0, 3.0, n_radius)
     angles = np.linspace(math.pi / (n_angle + 1),
                          math.pi * n_angle / (n_angle + 1), n_angle)
     return [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
 
 
-def eval_V(f: StieltjesLikeFunction, z, tol: float = DEFAULT_TOL):
+def eval_V(f: StieltjesLikeFunction, z):
     """Evaluate V at a point off [0, +inf), or at each point of a 1-D array.
 
     An array takes one quadrature pass for all its points and returns a complex
     array whose entries equal the scalar calls bit for bit.
     """
-    value, _ = integrate_weighted(f.sigma, Resolvent(z), tol)
+    value, _ = integrate_weighted(f.sigma, Resolvent(z))
     return f.gamma + (value if np.ndim(value) else complex(value))
 
 
-def _sampled_min(f: StieltjesLikeFunction, grid, tol: float, value) -> CheckReport:
+def _sampled_min(f: StieltjesLikeFunction, grid, value) -> CheckReport:
     """Smallest value(z, V(z)) over a grid in the upper half-plane."""
     grid = [complex(z) for z in (log_polar_grid() if grid is None else grid)]
     if not grid:
@@ -76,20 +73,20 @@ def _sampled_min(f: StieltjesLikeFunction, grid, tol: float, value) -> CheckRepo
         v = value(z, v)
         if v < worst:
             worst, argmin = v, z
-    return CheckReport(passed=(worst >= -tol), min_value=worst,
-                       argmin=argmin, tolerance=tol)
+    return CheckReport(passed=(worst >= -CHECK_TOL), min_value=worst,
+                       argmin=argmin, tolerance=CHECK_TOL)
 
 
-def check_herglotz(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] = None,
-                   tol: float = 1e-10) -> CheckReport:
+def check_herglotz(f: StieltjesLikeFunction,
+                   grid: Optional[Sequence[complex]] = None) -> CheckReport:
     """Sampled positivity check: min Im V over a grid in the upper half-plane."""
-    return _sampled_min(f, grid, tol, lambda z, v: v.imag)
+    return _sampled_min(f, grid, lambda z, v: v.imag)
 
 
-def check_stieltjes(f: StieltjesLikeFunction, grid: Optional[Sequence[complex]] = None,
-                    tol: float = 1e-10) -> CheckReport:
+def check_stieltjes(f: StieltjesLikeFunction,
+                    grid: Optional[Sequence[complex]] = None) -> CheckReport:
     """Sampled check of Im[z V(z)] / Im z >= 0 over a grid in the upper half-plane."""
-    return _sampled_min(f, grid, tol, lambda z, v: (z * v).imag / z.imag)
+    return _sampled_min(f, grid, lambda z, v: (z * v).imag / z.imag)
 
 
 def asymptotics(f: StieltjesLikeFunction):

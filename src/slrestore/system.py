@@ -3,7 +3,7 @@
 The realizing system is represented purely by the scalars (h, mu) and the
 Weyl function m_inf; every numerical claim about the operator model factors
 through these.  ``mu = math.inf`` selects the limit forms of the transfer
-function and impedance.
+function and impedance.  Verification passes up to VERIFY_TOL by default.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import CayleyPole, PoleOfV, PoleOfW, SideConditionViolated, ValidationError
-from .measure import ClassTag
 from .restore import quasi_kernel_eta
 from .stieltjes import StieltjesLikeFunction, eval_V
 from .weyl import WeylEvaluator, weyl_m
@@ -34,6 +33,12 @@ __all__ = [
 
 #: Default diagnostic evaluation point for the transfer function.
 DIAGNOSTIC_POINT = -1.0
+
+#: Points z = -eps and z = -big where vh_functional cross-checks V_h(0) and V_h(-inf).
+_VH_EPS, _VH_BIG = 1e-6, 1e8
+
+#: Largest forward-model residual a verification passes (the job field tolerances.verify).
+VERIFY_TOL = 1e-6
 
 _POLE_EPS = 1e-13
 
@@ -134,14 +139,13 @@ def _vh_numeric(h: complex, m_fn, z: complex) -> complex:
 
 def vh_functional(a: float, b: float, gamma: float,
                   h: Optional[complex] = None,
-                  m_fn: Optional[Callable[[complex], complex]] = None,
-                  eps: float = 1e-6, big: float = 1e8) -> VhReport:
+                  m_fn: Optional[Callable[[complex], complex]] = None) -> VhReport:
     """Accretivity functional of the restored operator.
 
     Closed forms: V_h(0) = (a-b)/(1+ab), V_h(-inf) = (a-gamma)/(1+a*gamma),
     cot(alpha) = (1+b*gamma)/(b-gamma); b = inf uses the corresponding
     limits.  When h and a Weyl callable are supplied the transfer-function
-    form is also evaluated at z = -eps and z = -big as a cross-check.
+    form is also evaluated at z = -1e-6 and z = -1e8 as a cross-check.
     """
     if math.isinf(b):
         v_zero: Optional[float] = -1.0 / a
@@ -159,8 +163,8 @@ def vh_functional(a: float, b: float, gamma: float,
         accr = 1.0 + v_zero * v_minus_inf
     num0 = numinf = None
     if h is not None and m_fn is not None:
-        num0 = _vh_numeric(h, m_fn, complex(-eps, 0.0))
-        numinf = _vh_numeric(h, m_fn, complex(-big, 0.0))
+        num0 = _vh_numeric(h, m_fn, complex(-_VH_EPS, 0.0))
+        numinf = _vh_numeric(h, m_fn, complex(-_VH_BIG, 0.0))
     return VhReport(v_zero=v_zero, v_minus_inf=v_minus_inf,
                     accretivity_value=accr, cot_alpha=cot_alpha,
                     numeric_v_zero=num0, numeric_v_minus_inf=numinf)
@@ -184,7 +188,6 @@ class VerifyReport:
     samples: tuple
     passed: bool
     tolerance: float
-    class_tag: Optional[ClassTag] = None
 
     def to_json(self) -> dict:
         return {
@@ -201,8 +204,7 @@ class VerifyReport:
 
 
 def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
-                       sample_z: Sequence[complex], tol: float = 1e-6,
-                       class_tag: Optional[ClassTag] = None) -> VerifyReport:
+                       sample_z: Sequence[complex], tol: float = VERIFY_TOL) -> VerifyReport:
     """Max |V_model - V_input| over the samples, plus the quasi-kernel residual.
 
     V_input comes from one eval_V call for all samples.
@@ -223,5 +225,4 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
             eta_res = abs(eta - p.theta_expected)
     passed = worst <= tol and (eta_res is None or eta_res <= tol)
     return VerifyReport(max_residual=worst, eta_residual=eta_res,
-                        samples=tuple(samples), passed=passed, tolerance=tol,
-                        class_tag=class_tag)
+                        samples=tuple(samples), passed=passed, tolerance=tol)

@@ -11,8 +11,11 @@ q_inf), Im k > 0.  For zero and constant q this gives m_inf = -ik in closed
 form.  For a tabulated q the solution starts at the cutoff from (1, ik) and
 is integrated back over [a, cutoff] only: backward is its stable direction.
 The boundary limit m_inf(-0) is one such propagation at lambda = 0.  These
-propagations and solve_cauchy run scipy's solve_ivp (DOP853), imported on first
-call, so m_inf of zero and constant q loads no scipy.
+propagations and solve_cauchy share one helper, the only call of scipy's
+solve_ivp (DOP853, imported on first call, so m_inf of zero and constant q
+loads no scipy); its q is the table's linear interpolation up to and
+including the cutoff and q_inf beyond.  ODE_TOL is the one default relative
+tolerance.
 """
 from __future__ import annotations
 
@@ -42,6 +45,10 @@ __all__ = [
     "weyl_m_at_minus_zero",
     "boundary_trace_constant",
 ]
+
+#: Relative tolerance of every ODE propagation: WeylEvaluator's default (the job
+#: field tolerances.ode) and the tolerance of solve_cauchy.
+ODE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,6 @@ class HalfLinePotential:
                 raise ValidationError("table grid/values size mismatch")
             if self.cutoff < grid[-1]:
                 raise ValidationError("table cutoff must cover the grid")
-
-    def q(self, x):
-        if self.kind != "table":  # q_inf is 0 for zero and the value for constant q
-            return np.full(np.shape(x), self.q_inf) if np.ndim(x) else self.q_inf
-        return np.where(np.asarray(x) >= self.cutoff, self.q_inf,
-                        np.interp(x, self.grid, self.values))
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class WeylEvaluator:
     """
 
     potential: HalfLinePotential
-    ode_tol: float = 1e-10
+    ode_tol: float = ODE_TOL
 
     def __post_init__(self):
         if not 0.0 < self.ode_tol < 1.0:  # a relative tolerance of 1 asks for no correct digit
@@ -146,33 +147,51 @@ def solve_ivp(*args, **kwargs):
     return ivp(*args, **kwargs)
 
 
-def _schrodinger_rhs(potential: HalfLinePotential, lam: complex):
+def _propagate(p: HalfLinePotential, lam, y, x0: float, x1: float, tol: float):
+    """(y, y') at x1 of -y'' + q y = lambda y from (y, y') at x0: DOP853 at rtol tol.
+
+    q is the table's np.interp up to and including the cutoff and q_inf beyond
+    it (everywhere for zero and constant q).  A failed step or a y out of float
+    range raises OdeStepFailure.
+    """
+    grid, values = np.asarray(p.grid, dtype=float), np.asarray(p.values, dtype=float)
+    cutoff = p.cutoff if p.kind == "table" else -math.inf
+
     def rhs(x, y):
-        qx = potential.q(x)
-        return [y[1], (qx - lam) * y[0], y[3], (qx - lam) * y[2]]
+        qx = np.interp(x, grid, values) if x <= cutoff else p.q_inf
+        return [y[1], (qx - lam) * y[0]]
 
-    return rhs
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        # atol > 0: a zero start component (y' = 0 at lambda = q_inf = 0)
+        # would make DOP853's first-step estimate divide by zero
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
+    if not sol.success:
+        raise OdeStepFailure(sol.message)
+    y = sol.y[:, -1]
+    if not np.isfinite(y).all():
+        raise OdeStepFailure(f"solution out of float range at x={x1} for lambda={lam}")
+    return y
 
 
-def solve_cauchy(potential: HalfLinePotential, lam: complex, x_end: float,
-                 ode_tol: float = 1e-10) -> CauchySolution:
-    """Solve l(y) = lambda y with phi1(a)=0, phi1'(a)=1, phi2(a)=-1, phi2'(a)=0."""
+def solve_cauchy(potential: HalfLinePotential, lam: complex, x_end: float) -> CauchySolution:
+    """Solve l(y) = lambda y with phi1(a)=0, phi1'(a)=1, phi2(a)=-1, phi2'(a)=0.
+
+    Each solution is one propagation at ODE_TOL; their Wronskian must stay 1.
+    """
     a = potential.a
     if x_end <= a:
         raise ValidationError(f"x_end={x_end} must exceed the endpoint a={a}")
     lam = complex(lam)
-    y0 = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex)
-    sol = solve_ivp(_schrodinger_rhs(potential, lam), (a, x_end), y0,
-                    method="DOP853", rtol=ode_tol, atol=ode_tol * 1e-3)
-    if not sol.success:
-        raise OdeStepFailure(sol.message)
-    out = CauchySolution(*sol.y[:, -1])
-    # cancellation in phi1*phi2' - phi1'*phi2 scales with the product sizes
-    scale = max(1.0, abs(out.phi1 * out.dphi2) + abs(out.dphi1 * out.phi2))
-    if abs(out.wronskian - 1.0) > 10.0 * ode_tol * scale:
-        raise OdeStepFailure(
-            f"Wronskian drifted to {out.wronskian} (tolerance {10 * ode_tol * scale})"
-        )
+    phi1, phi2 = (_propagate(potential, lam, np.array(y0, dtype=complex), a, x_end, ODE_TOL)
+                  for y0 in ([0.0, 1.0], [-1.0, 0.0]))  # each with its derivative
+    out = CauchySolution(*phi1, *phi2)
+    with np.errstate(all="ignore"):  # products out of float range are refused below
+        w = out.wronskian
+        # cancellation in phi1*phi2' - phi1'*phi2 scales with the product sizes
+        scale = max(1.0, abs(out.phi1 * out.dphi2) + abs(out.dphi1 * out.phi2))
+        bound = 10.0 * ODE_TOL * scale
+    if not abs(w - 1.0) <= bound < math.inf:  # also refuses a NaN Wronskian
+        raise OdeStepFailure(f"Wronskian drifted to {w} (tolerance {bound})")
     return out
 
 
@@ -199,13 +218,6 @@ def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
     the sweep is refused with PropagationTooLong.
     """
     p = ev.potential
-    grid = np.asarray(p.grid, dtype=float)
-    values = np.asarray(p.values, dtype=float)
-
-    def rhs(x, y):
-        # np.interp holds values[-1] on [grid[-1], cutoff]: the left limit at the cutoff
-        return [y[1], (np.interp(x, grid, values) - lam) * y[0]]
-
     s = math.sqrt(max(abs(v - lam) for v in (*p.values, p.q_inf)))
     length = p.cutoff - p.a
     if not length * s <= MAX_PROPAGATION:
@@ -216,13 +228,7 @@ def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
     x_hi = p.cutoff
     while x_hi > p.a:
         x_lo = max(p.a, x_hi - chunk)
-        # atol > 0: a zero start component (y' = 0 at lambda = q_inf = 0)
-        # would make DOP853's first-step estimate divide by zero
-        sol = solve_ivp(rhs, (x_hi, x_lo), y, method="DOP853",
-                        rtol=ev.ode_tol, atol=ev.ode_tol * 1e-3)
-        if not sol.success:
-            raise OdeStepFailure(sol.message)
-        y = sol.y[:, -1]
+        y = _propagate(p, lam, y, x_hi, x_lo, ev.ode_tol)
         y = y / (abs(y[0]) + abs(y[1]) / max(abs(k), 1.0))
         x_hi = x_lo
     if abs(y[0]) <= ev.ode_tol * abs(y[1]):

@@ -48,11 +48,9 @@ def _m_closed(lam: complex, v: float = 0.0) -> complex:
     return -1j * k
 
 
-def test_criterion_1_paper_example_end_to_end(paper_measure, zero_potential,
-                                              zero_evaluator):
+def test_criterion_1_paper_example_end_to_end(paper_measure, zero_potential):
     start = time.perf_counter()
-    result = run_restore(paper_measure, 0.0, potential=zero_potential,
-                         evaluator=zero_evaluator)
+    result = run_restore(paper_measure, 0.0, potential=zero_potential)
     elapsed = time.perf_counter() - start
     ok = (abs(result.restored.h - 1j) < 1e-4
           and result.restored.mu == INF
@@ -64,10 +62,9 @@ def test_criterion_1_paper_example_end_to_end(paper_measure, zero_potential,
     _report(1, "paper example end-to-end", ok)
 
 
-def test_criterion_2_remark_family(paper_measure, zero_potential, zero_evaluator):
+def test_criterion_2_remark_family(paper_measure, zero_potential):
     mom = moments(paper_measure)
-    od = resolve_operator_data(mom, potential=zero_potential,
-                               evaluator=zero_evaluator)
+    od = resolve_operator_data(mom, potential=zero_potential)
     ok = True
     for gamma in (0.25, 0.5, 1.0, 2.0):
         h = restore_h(mom.b, gamma, od.theta, od.m, od.xi)
@@ -88,12 +85,10 @@ def test_criterion_2_remark_family(paper_measure, zero_potential, zero_evaluator
     _report(2, "remark family h, mu and circle", ok)
 
 
-def test_criterion_3_forward_inverse_consistency(paper_measure, zero_potential,
-                                                 zero_evaluator):
+def test_criterion_3_forward_inverse_consistency(paper_measure, zero_potential):
     ok = True
     for gamma in (0.0, 0.5):
-        report = run_verify(paper_measure, gamma, zero_potential,
-                            evaluator=zero_evaluator, tol=1e-6)
+        report = run_verify(paper_measure, gamma, zero_potential, tol=1e-6)
         ok = ok and report.passed and len(report.samples) == 20
         ok = ok and report.max_residual < 1e-6
     _report(3, "forward-inverse consistency < 1e-6 on 20 z", ok)

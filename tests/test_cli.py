@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slrestore import cli
+from slrestore import cli, weyl
 from slrestore.errors import OdeStepFailure
 from slrestore.measure import measure_from_json
 
@@ -272,6 +272,31 @@ def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # no artifact
+    assert message in capsys.readouterr().err
+
+
+def _no_propagation(*args, **kwargs):
+    raise AssertionError("solve_ivp called: a job that cannot succeed propagated an ODE")
+
+
+@pytest.mark.parametrize("measure, values, cutoff, code, message", [
+    # finite b: theta is missing, whatever m_inf(-0) would be
+    ({"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5}],
+      "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}, "infinite_mass": True},
+     [1.0, 0.2, 400.0], 1e6, 2, "ValidationError: finite 1/t moment: theta"),
+    # b = inf: c has no closed form for a table
+    (PAPER_MEASURE, [1.0, 0.2, 0.5], 3.0, 3, "Unsupported: boundary-trace constant"),
+], ids=["finite-b-theta", "infinite-b-c"])
+def test_restore_settles_theta_and_c_before_any_propagation(tmp_path, monkeypatch, capsys,
+                                                            measure, values, cutoff, code,
+                                                            message):
+    monkeypatch.setattr(weyl, "solve_ivp", _no_propagation)
+    job = {"measure": measure, "gamma": 0.5,
+           "potential": {"a": 0.0, "q": {"kind": "table", "grid": [0.0, 1.0, 2.0],
+                                         "values": values, "cutoff": cutoff}}}
+    out = tmp_path / "out"
+    assert _run("restore", _write_job(tmp_path, "job.json", job), out) == code
+    assert not out.exists()
     assert message in capsys.readouterr().err
 
 

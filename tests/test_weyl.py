@@ -1,20 +1,28 @@
 """Tests for the Weyl-Titchmarsh solver.
 
 Oracles: closed forms m(lambda) = -i sqrt(lambda - v) for zero/constant
-potentials (branch Im sqrt > 0), sin/cos solutions of the Cauchy problems,
-and, for a tabulated potential, an mpmath Airy-function solution of a
-linear ramp plus its constant tail.
+potentials (branch Im sqrt > 0), sin/cos and piecewise cosh/sinh solutions
+of the Cauchy problems, and, for a tabulated potential, an mpmath
+Airy-function solution of a linear ramp plus its constant tail.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from slrestore.errors import NegativeQInf, NodeAtEndpoint, Unsupported, ValidationError
+from slrestore.errors import (
+    NegativeQInf,
+    NodeAtEndpoint,
+    OdeStepFailure,
+    Unsupported,
+    ValidationError,
+)
+from slrestore.stieltjes import log_polar_grid
 from slrestore.weyl import (
     HalfLinePotential,
     OperatorData,
@@ -72,6 +80,40 @@ def test_cauchy_shift_invariance():
 def test_cauchy_rejects_bad_endpoint(zero_potential):
     with pytest.raises(ValidationError):
         solve_cauchy(zero_potential, 1.0, 0.0)
+
+
+def _constant_step(y, dy, q, lam, d):
+    """(y, y') after a step d of -y'' + q y = lam y with constant q: cosh and sinh."""
+    kappa = cmath.sqrt(q - lam)
+    ch, sh = cmath.cosh(kappa * d), cmath.sinh(kappa * d)
+    return y * ch + dy * sh / kappa, y * kappa * sh + dy * ch
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.5 + 1.0j])
+@pytest.mark.parametrize("x_end", [1.0, 2.0, 3.5], ids=["before", "at", "past"])
+def test_cauchy_on_a_table_oracle(lam, x_end):
+    # q = 0.75 on [0, 2], the cutoff, and q_inf = 2 beyond it
+    p = HalfLinePotential(kind="table", grid=(0.0, 2.0), values=(0.75, 0.75),
+                          cutoff=2.0, q_inf=2.0)
+    sol = solve_cauchy(p, lam, x_end)
+    got = (sol.phi1, sol.dphi1, sol.phi2, sol.dphi2)
+    oracle = []
+    for start in ((0.0, 1.0), (-1.0, 0.0)):
+        y = _constant_step(*start, 0.75, lam, min(x_end, 2.0))
+        oracle += _constant_step(*y, 2.0, lam, max(x_end - 2.0, 0.0))
+    for g, o in zip(got, oracle):
+        assert abs(g - o) <= 1e-8 * max(1.0, abs(o))
+
+
+@pytest.mark.parametrize("x_end", [300.0, 600.0])
+def test_cauchy_out_of_float_range_raises(x_end):
+    # solutions grow like e^{sqrt(2) x}: at x = 300 they are finite but the
+    # Wronskian's products overflow (a NaN drift), at x = 600 they overflow
+    p = HalfLinePotential(kind="constant", value=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OdeStepFailure):
+            solve_cauchy(p, -1.0, x_end)
 
 
 def test_wronskian_conservation(zero_potential, const1_evaluator):
@@ -161,8 +203,13 @@ def _airy_ramp_m(q0: float, q1: float, q_inf: float, lam: complex) -> complex:
     """-y'(0)/y(0) for q = q0 + s x on [0, x1], q1 on [x1, cutoff), q_inf beyond.
 
     y = e^{ik(x - cutoff)} beyond the cutoff (at k = 0 the zero-energy
-    solution y = 1), trigonometric on the flat piece, and A Ai(t) + B Bi(t)
-    with t = c x + (q0 - lam)/c^2, c^3 = s, on the ramp.
+    solution y = 1), trigonometric on the flat piece, and a_j u_j + a_l u_l on
+    the ramp, where u_j(t) = Ai(w^j t), w = e^{2 pi i/3} (DLMF 9.2(iv)), t =
+    c x + (q0 - lam)/c^2 and c^3 = s.  Of the three pairs (j, l) the one best
+    conditioned at both ends of the ramp is used: with Ai and Bi, or a poor
+    pair, the combination cancels by more digits than any fixed precision
+    holds once |lam| is large.  The Wronskian of a pair is constant, read at
+    t = 0: Ai(0) Ai'(0) (w^l - w^j); (a_j, a_l) come from Cramer's rule with it.
     """
     with mpmath.workdps(50):
         lam = mpmath.mpc(lam)
@@ -176,15 +223,28 @@ def _airy_ramp_m(q0: float, q1: float, q_inf: float, lam: complex) -> complex:
                  -y * w * mpmath.sin(w * d) + dy * mpmath.cos(w * d))
         s = (mpmath.mpf(q1) - q0) / RAMP_X1
         c = mpmath.cbrt(s) if s > 0 else -mpmath.cbrt(-s)
+        t0 = (q0 - lam) / c ** 2
+        t1 = t0 + c * RAMP_X1
+        rot = [mpmath.expjpi(mpmath.mpf(2 * j) / 3) for j in range(3)]
 
-        def basis(x):
-            t = c * x + (q0 - lam) / c ** 2
-            return mpmath.matrix([[mpmath.airyai(t), mpmath.airybi(t)],
-                                  [c * mpmath.airyai(t, 1), c * mpmath.airybi(t, 1)]])
+        def u(j, t):  # u_j and its t-derivative
+            return mpmath.airyai(rot[j] * t), rot[j] * mpmath.airyai(rot[j] * t, 1)
 
-        coef = mpmath.lu_solve(basis(mpmath.mpf(RAMP_X1)), mpmath.matrix([y, dy]))
-        y0, dy0 = basis(mpmath.mpf(0)) * coef
-        return complex(-dy0 / y0)
+        def wronskian(j, l):
+            return mpmath.airyai(0) * mpmath.airyai(0, 1) * (rot[l] - rot[j])
+
+        def condition(j, l, t):
+            (f, df), (g, dg) = u(j, t), u(l, t)
+            return (abs(f * dg) + abs(df * g)) / abs(wronskian(j, l))
+
+        j, l = min([(0, 1), (0, 2), (1, 2)],
+                   key=lambda p: max(condition(*p, t0), condition(*p, t1)))
+        (f, df), (g, dg) = u(j, t1), u(l, t1)
+        dy = dy / c  # d/dt = (d/dx) / c
+        a_j = (y * dg - dy * g) / wronskian(j, l)
+        a_l = (f * dy - df * y) / wronskian(j, l)
+        (f, df), (g, dg) = u(j, t0), u(l, t0)
+        return complex(-c * (a_j * df + a_l * dg) / (a_j * f + a_l * g))
 
 
 RAMPS = [(1.5, 0.5, 0.0), (0.2, 1.2, 0.8)]
@@ -192,8 +252,10 @@ RAMPS = [(1.5, 0.5, 0.0), (0.2, 1.2, 0.8)]
 
 @pytest.mark.parametrize("q0, q1, q_inf", RAMPS)
 def test_table_m_airy_oracle(q0, q1, q_inf):
+    # the default weyl grid reaches |lambda| = 1000, where Ai and Bi cancel
     ev = WeylEvaluator(potential=_ramp_potential(q0, q1, q_inf))
-    for lam in (0.3 + 0.4j, -2.0 + 0.5j, 1j, 3.0 + 2.0j, -1.0, 10.0 + 1.0j):
+    lams = [0.3 + 0.4j, -2.0 + 0.5j, 1j, 3.0 + 2.0j, -1.0, 10.0 + 1.0j, *log_polar_grid(5, 4)]
+    for lam in lams:
         oracle = _airy_ramp_m(q0, q1, q_inf, lam)
         assert abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-8
 
