@@ -21,7 +21,6 @@ from .measure import JsonField, classify, measure_from_json, moments
 from .pipeline import run_restore, run_verify
 from .restore import sweep
 from .stieltjes import log_polar_grid
-from .system import VERIFY_TOL
 from .weyl import ODE_TOL, HalfLinePotential, OperatorData, WeylEvaluator, weyl_m
 
 COMMANDS = ("classify", "moments", "restore", "sweep", "verify", "weyl")
@@ -58,6 +57,9 @@ def _load_job(path: str, command: str) -> JsonField:
     _check_finite(job, "")
     if "gamma" in job and "gamma_range" in job:
         raise ValidationError("cli: exactly one of gamma / gamma_range is required")
+    if "tolerances" in job:  # refused, not ignored: the tolerances are fixed constants
+        raise ValidationError("tolerances: not a job field; the tolerances are fixed "
+                              "(weyl.ODE_TOL, system.VERIFY_TOL)")
     declared = job.get("command")
     if declared is not None and declared != command:
         raise ValidationError(
@@ -86,8 +88,8 @@ def _gammas(job: JsonField) -> list:
     return np.linspace(lo.number(), hi.number(), n.value).tolist()
 
 
-def _evaluator(job: JsonField, needed_by: str = "") -> Optional[WeylEvaluator]:
-    """The job's potential with its ODE tolerance; None if absent, unless needed_by names a use."""
+def _potential(job: JsonField, needed_by: str = "") -> Optional[HalfLinePotential]:
+    """The job's potential; None if absent, unless needed_by names a use."""
     node = job.get("potential")
     if node.value is None:
         if needed_by:
@@ -97,16 +99,14 @@ def _evaluator(job: JsonField, needed_by: str = "") -> Optional[WeylEvaluator]:
     kind = q["kind"].value
     a = node.get("a", 0.0).number()
     if kind == "zero":
-        potential = HalfLinePotential(a=a, kind="zero")
-    elif kind == "constant":
-        potential = HalfLinePotential(a=a, kind="constant", value=q["value"].number())
-    elif kind == "table":
-        potential = HalfLinePotential(
+        return HalfLinePotential(a=a, kind="zero")
+    if kind == "constant":
+        return HalfLinePotential(a=a, kind="constant", value=q["value"].number())
+    if kind == "table":
+        return HalfLinePotential(
             a=a, kind="table", grid=q["grid"].numbers(), values=q["values"].numbers(),
             cutoff=q["cutoff"].number(), q_inf=q.get("q_inf", 0.0).number())
-    else:
-        raise ValidationError(f"{q.path}.kind: unknown potential kind {kind!r}")
-    return WeylEvaluator(potential=potential, ode_tol=_tolerance(job, "ode", ODE_TOL, below=1.0))
+    raise ValidationError(f"{q.path}.kind: unknown potential kind {kind!r}")
 
 
 def _operator(job: JsonField) -> Optional[OperatorData]:
@@ -117,14 +117,6 @@ def _operator(job: JsonField) -> Optional[OperatorData]:
     return OperatorData(theta=node.get("theta", -m).number(), m=m,
                         c=node.get("c").number(optional=True),
                         xi=node.get("xi").number(optional=True))
-
-
-def _tolerance(job: JsonField, name: str, default: float, below: float = math.inf) -> float:
-    node = job.get("tolerances", {}).get(name, default)
-    tol = node.number()
-    node.expect(0.0 < tol < below, f"a number in (0, {below:g})" if below < math.inf else
-                "a positive number")
-    return tol
 
 
 def _output(job: JsonField) -> Optional[str]:
@@ -157,8 +149,7 @@ def _cmd_moments(job: JsonField) -> bytes:
 def _cmd_restore(job: JsonField) -> bytes:
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
-    ev = _evaluator(job)
-    result = run_restore(sigma, gamma, operator=_operator(job), potential=ev and ev.potential)
+    result = run_restore(sigma, gamma, operator=_operator(job), potential=_potential(job))
     r = result.restored
     return _json_bytes({
         "h_re": r.h.real, "h_im": r.h.imag, "mu": _fmt(r.mu),
@@ -176,11 +167,10 @@ def _cmd_restore(job: JsonField) -> bytes:
 def _cmd_sweep(job: JsonField) -> bytes:
     sigma = measure_from_json(job["measure"])
     gammas = _gammas(job)
-    ev = _evaluator(job)
     mom = moments(sigma)
     from .pipeline import resolve_operator_data
 
-    od = resolve_operator_data(mom, _operator(job), ev and ev.potential)
+    od = resolve_operator_data(mom, _operator(job), _potential(job))
     s = sweep(mom.b, od.theta, od.m, od.xi, gammas)
     alpha = s.alpha.astype(object)  # the angle, or the label where none exists
     alpha[s.sector == 1] = "extremal"
@@ -196,20 +186,26 @@ def _cmd_sweep(job: JsonField) -> bytes:
 def _cmd_verify(job: JsonField):
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
-    ev = _evaluator(job, needed_by="verify")
-    return run_verify(sigma, gamma, ev.potential, operator=_operator(job), ode_tol=ev.ode_tol,
-                      tol=_tolerance(job, "verify", VERIFY_TOL))
+    return run_verify(sigma, gamma, _potential(job, needed_by="verify"), operator=_operator(job))
 
 
 def _cmd_weyl(job: JsonField) -> bytes:
-    ev = _evaluator(job, needed_by="weyl")
+    ev = WeylEvaluator(potential=_potential(job, needed_by="weyl"))
     if "lambdas" in job.value:
-        lams = [complex(*p.numbers(2)) for p in job["lambdas"].items()]
+        node = job["lambdas"]
+        points = node.items()
+        node.expect(bool(points), "a non-empty list")
+        lams = [complex(*p.numbers(2)) for p in points]
     else:
         lams = log_polar_grid(n_radius=5, n_angle=4)
-    lam = np.array(lams, dtype=complex)
-    m = np.array([weyl_m(ev, x) for x in lams], dtype=complex)
-    err = 10.0 * ev.ode_tol * (1.0 + np.hypot(m.real, m.imag))  # hypot: abs of a complex
+    m = []
+    for i, x in enumerate(lams):
+        try:
+            m.append(weyl_m(ev, x))
+        except ValidationError as exc:  # only a lambda without a decaying solution
+            raise ValidationError(f"lambdas[{i}]: {exc}") from exc
+    lam, m = np.array(lams, dtype=complex), np.array(m, dtype=complex)
+    err = 10.0 * ODE_TOL * (1.0 + np.hypot(m.real, m.imag))  # hypot: abs of a complex
     return _csv_bytes(["lambda_re", "lambda_im", "m_re", "m_im", "err_est"],
                       [lam.real, lam.imag, m.real, m.imag, err])
 

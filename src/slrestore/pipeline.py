@@ -12,9 +12,8 @@ from .errors import ValidationError
 from .measure import ClassTag, Moments, SpectralMeasure, classify, moments
 from .restore import RestoredSystem, restore_system
 from .stieltjes import StieltjesLikeFunction, log_polar_grid
-from .system import VERIFY_TOL, SystemParams, VerifyReport, verify_realization, weyl_m_fn
+from .system import SystemParams, VerifyReport, verify_realization, weyl_m_fn
 from .weyl import (
-    ODE_TOL,
     HalfLinePotential,
     OperatorData,
     WeylEvaluator,
@@ -70,25 +69,21 @@ def run_restore(sigma: SpectralMeasure, gamma: float,
     class_tag = classify(sigma, gamma)
     mom = moments(sigma)
     od = resolve_operator_data(mom, operator, potential)
-    restored = restore_system(mom.b, gamma, od.theta, od.m, od.xi, class_tag)
-    return PipelineResult(restored=restored, moments=mom, operator=od,
-                          class_tag=class_tag)
+    restored = restore_system(mom.b, gamma, od.theta, od.m, od.xi)
+    return PipelineResult(restored, mom, od, class_tag)
 
 
 def run_verify(sigma: SpectralMeasure, gamma: float,
                potential: HalfLinePotential,
-               operator: Optional[OperatorData] = None,
-               ode_tol: float = ODE_TOL,
-               tol: float = VERIFY_TOL) -> VerifyReport:
+               operator: Optional[OperatorData] = None) -> VerifyReport:
     """Restore from the measure, then check the forward model against V.
 
-    The forward model's m_inf is the potential's at relative tolerance
-    ode_tol; the samples are the 5 x 4 log-polar grid.
+    The forward model's m_inf is the potential's (a table's at ODE_TOL); the
+    samples are the 5 x 4 log-polar grid, and the report passes up to VERIFY_TOL.
     """
-    ev = WeylEvaluator(potential=potential, ode_tol=ode_tol)
     result = run_restore(sigma, gamma, operator, potential)
     params = SystemParams(h=result.restored.h, mu=result.restored.mu,
-                          m_fn=weyl_m_fn(ev),
+                          m_fn=weyl_m_fn(WeylEvaluator(potential=potential)),
                           theta_expected=result.operator.theta)
     f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
-    return verify_realization(f, params, log_polar_grid(n_radius=5, n_angle=4), tol=tol)
+    return verify_realization(f, params, log_polar_grid(n_radius=5, n_angle=4))

@@ -25,8 +25,6 @@ from .errors import (
     ThetaMismatch,
     ValidationError,
 )
-from .measure import ClassTag
-
 __all__ = [
     "Accretivity",
     "Sectoriality",
@@ -130,7 +128,6 @@ class RestoredSystem:
     sectorial: bool
     extremal: bool
     alpha: Optional[float]
-    class_tag: Optional[ClassTag] = None
 
     def __post_init__(self):
         if self.h.imag <= 0:
@@ -312,10 +309,9 @@ def sweep(b: float, theta: float, m: float, xi: Optional[float],
 
 
 def restore_system(b: float, gamma: float, theta: float, m: float,
-                   xi: Optional[float] = None,
-                   class_tag: Optional[ClassTag] = None) -> RestoredSystem:
-    """Full restoration: h, mu, accretivity/sectoriality flags, class tag."""
+                   xi: Optional[float] = None) -> RestoredSystem:
+    """Full restoration: h, mu and the accretivity/sectoriality flags."""
     _, _, x, y, mu, rank, alpha = _row(b, theta, m, xi, float(gamma))
     return RestoredSystem(h=complex(x, y), mu=float(mu), gamma=gamma, accretive=rank > 0,
                           strict=rank == 2, sectorial=rank == 2, extremal=rank == 1,
-                          alpha=_sectoriality(rank, alpha).alpha, class_tag=class_tag)
+                          alpha=_sectoriality(rank, alpha).alpha)

@@ -34,7 +34,6 @@ class CheckReport:
     passed: bool
     min_value: float
     argmin: complex
-    tolerance: float
 
 
 #: Most negative value a sampled Herglotz or Stieltjes check lets pass.
@@ -73,8 +72,7 @@ def _sampled_min(f: StieltjesLikeFunction, grid, value) -> CheckReport:
         v = value(z, v)
         if v < worst:
             worst, argmin = v, z
-    return CheckReport(passed=(worst >= -CHECK_TOL), min_value=worst,
-                       argmin=argmin, tolerance=CHECK_TOL)
+    return CheckReport(passed=(worst >= -CHECK_TOL), min_value=worst, argmin=argmin)
 
 
 def check_herglotz(f: StieltjesLikeFunction,

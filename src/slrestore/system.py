@@ -3,7 +3,7 @@
 The realizing system is represented purely by the scalars (h, mu) and the
 Weyl function m_inf; every numerical claim about the operator model factors
 through these.  ``mu = math.inf`` selects the limit forms of the transfer
-function and impedance.  Verification passes up to VERIFY_TOL by default.
+function and impedance.  Verification passes up to VERIFY_TOL.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ DIAGNOSTIC_POINT = -1.0
 #: Points z = -eps and z = -big where vh_functional cross-checks V_h(0) and V_h(-inf).
 _VH_EPS, _VH_BIG = 1e-6, 1e8
 
-#: Largest forward-model residual a verification passes (the job field tolerances.verify).
+#: Largest forward-model or quasi-kernel residual a verification passes.
 VERIFY_TOL = 1e-6
 
 _POLE_EPS = 1e-13
@@ -187,7 +187,6 @@ class VerifyReport:
     eta_residual: Optional[float]
     samples: tuple
     passed: bool
-    tolerance: float
 
     def to_json(self) -> dict:
         return {
@@ -204,11 +203,9 @@ class VerifyReport:
 
 
 def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
-                       sample_z: Sequence[complex], tol: float = VERIFY_TOL) -> VerifyReport:
-    """Max |V_model - V_input| over the samples, plus the quasi-kernel residual.
-
-    V_input comes from one eval_V call for all samples.
-    """
+                       sample_z: Sequence[complex]) -> VerifyReport:
+    """Max |V_model - V_input| over the samples (one eval_V call for all of them)
+    and the quasi-kernel residual; the report passes if both are <= VERIFY_TOL."""
     sample_z = [complex(z) for z in sample_z]
     if not sample_z:
         raise ValidationError("verify_realization: no sample points")
@@ -223,6 +220,6 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
         eta = quasi_kernel_eta(p.h, p.mu)
         if eta is not None:
             eta_res = abs(eta - p.theta_expected)
-    passed = worst <= tol and (eta_res is None or eta_res <= tol)
+    passed = worst <= VERIFY_TOL and (eta_res is None or eta_res <= VERIFY_TOL)
     return VerifyReport(max_residual=worst, eta_residual=eta_res,
-                        samples=tuple(samples), passed=passed, tolerance=tol)
+                        samples=tuple(samples), passed=passed)

@@ -14,7 +14,7 @@ The boundary limit m_inf(-0) is one such propagation at lambda = 0.  These
 propagations and solve_cauchy share one helper, the only call of scipy's
 solve_ivp (DOP853, imported on first call, so m_inf of zero and constant q
 loads no scipy); its q is the table's linear interpolation up to and
-including the cutoff and q_inf beyond.  ODE_TOL is the one default relative
+including the cutoff and q_inf beyond.  ODE_TOL is the one relative
 tolerance.
 """
 from __future__ import annotations
@@ -46,8 +46,7 @@ __all__ = [
     "boundary_trace_constant",
 ]
 
-#: Relative tolerance of every ODE propagation: WeylEvaluator's default (the job
-#: field tolerances.ode) and the tolerance of solve_cauchy.
+#: Relative tolerance of every ODE propagation (table m_inf and solve_cauchy).
 ODE_TOL = 1e-10
 
 
@@ -114,19 +113,10 @@ class OperatorData:
 
 @dataclass(frozen=True)
 class WeylEvaluator:
-    """Immutable evaluator lambda -> m_inf(lambda) for one potential.
-
-    Zero and constant potentials use the closed form -i sqrt(lambda - q_inf);
-    a tabulated potential is integrated from the cutoff, where the decaying
-    solution is known exactly, back to a with relative tolerance ode_tol.
-    """
+    """lambda -> m_inf(lambda) for one potential, as weyl_m evaluates it: the closed
+    form -i sqrt(lambda - q_inf) for zero and constant q, else _table_m at ODE_TOL."""
 
     potential: HalfLinePotential
-    ode_tol: float = ODE_TOL
-
-    def __post_init__(self):
-        if not 0.0 < self.ode_tol < 1.0:  # a relative tolerance of 1 asks for no correct digit
-            raise ValidationError(f"ode_tol must lie in (0, 1), got {self.ode_tol}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +137,8 @@ def solve_ivp(*args, **kwargs):
     return ivp(*args, **kwargs)
 
 
-def _propagate(p: HalfLinePotential, lam, y, x0: float, x1: float, tol: float):
-    """(y, y') at x1 of -y'' + q y = lambda y from (y, y') at x0: DOP853 at rtol tol.
+def _propagate(p: HalfLinePotential, lam, y, x0: float, x1: float):
+    """(y, y') at x1 of -y'' + q y = lambda y from (y, y') at x0: DOP853 at rtol ODE_TOL.
 
     q is the table's np.interp up to and including the cutoff and q_inf beyond
     it (everywhere for zero and constant q).  A failed step or a y out of float
@@ -164,7 +154,7 @@ def _propagate(p: HalfLinePotential, lam, y, x0: float, x1: float, tol: float):
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
         # atol > 0: a zero start component (y' = 0 at lambda = q_inf = 0)
         # would make DOP853's first-step estimate divide by zero
-        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=tol, atol=tol * 1e-3)
+        sol = solve_ivp(rhs, (x0, x1), y, method="DOP853", rtol=ODE_TOL, atol=ODE_TOL * 1e-3)
     if not sol.success:
         raise OdeStepFailure(sol.message)
     y = sol.y[:, -1]
@@ -182,7 +172,7 @@ def solve_cauchy(potential: HalfLinePotential, lam: complex, x_end: float) -> Ca
     if x_end <= a:
         raise ValidationError(f"x_end={x_end} must exceed the endpoint a={a}")
     lam = complex(lam)
-    phi1, phi2 = (_propagate(potential, lam, np.array(y0, dtype=complex), a, x_end, ODE_TOL)
+    phi1, phi2 = (_propagate(potential, lam, np.array(y0, dtype=complex), a, x_end)
                   for y0 in ([0.0, 1.0], [-1.0, 0.0]))  # each with its derivative
     out = CauchySolution(*phi1, *phi2)
     with np.errstate(all="ignore"):  # products out of float range are refused below
@@ -204,7 +194,7 @@ def _decay_root(lam: complex, q_inf: float) -> complex:
 
 
 #: Largest (cutoff - a) * s a table propagation may take; its cost grows about
-#: linearly in it (2-3 s at the cap on a 2-vCPU Xeon host at ode_tol 1e-10).
+#: linearly in it (2-3 s at the cap on a 2-vCPU Xeon host at ODE_TOL 1e-10).
 MAX_PROPAGATION = 5e3
 
 
@@ -228,10 +218,10 @@ def _table_m(ev: WeylEvaluator, lam: complex, k: complex) -> complex:
     x_hi = p.cutoff
     while x_hi > p.a:
         x_lo = max(p.a, x_hi - chunk)
-        y = _propagate(p, lam, y, x_hi, x_lo, ev.ode_tol)
+        y = _propagate(p, lam, y, x_hi, x_lo)
         y = y / (abs(y[0]) + abs(y[1]) / max(abs(k), 1.0))
         x_hi = x_lo
-    if abs(y[0]) <= ev.ode_tol * abs(y[1]):
+    if abs(y[0]) <= ODE_TOL * abs(y[1]):
         raise NodeAtEndpoint(f"decaying solution vanishes at x=a for lambda={lam}")
     return complex(-y[1] / y[0])
 

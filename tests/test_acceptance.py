@@ -88,7 +88,7 @@ def test_criterion_2_remark_family(paper_measure, zero_potential):
 def test_criterion_3_forward_inverse_consistency(paper_measure, zero_potential):
     ok = True
     for gamma in (0.0, 0.5):
-        report = run_verify(paper_measure, gamma, zero_potential, tol=1e-6)
+        report = run_verify(paper_measure, gamma, zero_potential)
         ok = ok and report.passed and len(report.samples) == 20
         ok = ok and report.max_residual < 1e-6
     _report(3, "forward-inverse consistency < 1e-6 on 20 z", ok)

@@ -249,21 +249,20 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
      "gamma: int too large to convert to float"),
     ("classify", {"measure": {"pieces": [{"kind": "table", "knots": [], "values": []}]},
                   "gamma": 0.0}, "piece 0: knots/values size mismatch"),
+    ("weyl", {"potential": ZERO_POTENTIAL, "lambdas": []},
+     "lambdas: expected a non-empty list"),
+    # the tolerances are fixed constants: a job that sets one is refused, not ignored
     ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0, "potential": ZERO_POTENTIAL,
-                "tolerances": {"verify": -1}}, "tolerances.verify: expected a positive number"),
-    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0, "potential": ZERO_POTENTIAL,
-                "tolerances": {"verify": 0}}, "tolerances.verify: expected a positive number"),
-    # an rtol >= 1 asks for no correct digit; the table propagation would misread it
-    ("weyl", {"potential": {"q": {"kind": "table", "grid": [0.0, 0.5, 1.0],
-                                  "values": [1.0, 0.2, 0.5], "cutoff": 1.5, "q_inf": 0.5}},
-              "lambdas": [[-1.0, 0.5]], "tolerances": {"ode": 10}},
-     "tolerances.ode: expected a number in (0, 1)"),
+                "tolerances": {"ode": 1e-10, "verify": 1e-6}}, "tolerances: not a job field"),
+    ("weyl", {"potential": ZERO_POTENTIAL, "tolerances": 1e-6}, "tolerances: not a job field"),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "tolerances": None},
+     "tolerances: not a job field"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
-        "gamma-int-overflow", "table-no-knots", "verify-tol-neg", "verify-tol-zero",
-        "weyl-ode-tol-10"])
+        "gamma-int-overflow", "table-no-knots", "weyl-lambdas-empty",
+        "tolerances-object", "tolerances-number", "tolerances-null"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
@@ -312,9 +311,8 @@ RICH_MEASURE = {
 }
 
 
-def test_table_weyl_job_at_a_small_ode_tol(tmp_path):
-    # the job that tolerances.ode = 10 rejects above, at a tolerance in (0, 1)
-    job = {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]], "tolerances": {"ode": 1e-10}}
+def test_table_weyl_job(tmp_path):
+    job = {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]]}
     out = tmp_path / "m.csv"
     assert _run("weyl", _write_job(tmp_path, "job.json", job), out) == 0
     m = complex(*map(float, out.read_text().splitlines()[1].split(",")[2:4]))
@@ -329,8 +327,7 @@ VALID_JOBS = [
     ("restore", {"measure": RICH_MEASURE, "gamma": 1.0, "operator": {"theta": 0.5, "m": 0.0}}),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [-2.0, 2.0, 9],
                "operator": SWEEP_OPERATOR}),
-    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
-                "tolerances": {"ode": 1e-10, "verify": 1e-6}}),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL}),
     ("weyl", {"potential": {"a": 0.0, "q": {"kind": "constant", "value": 1.0}},
               "lambdas": [[-4.0, 0.0], [0.0, 1.0]]}),
     ("weyl", {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]]}),
@@ -426,11 +423,12 @@ def test_out_of_range_jobs_end_in_named_errors(tmp_path, capsys, command, job, c
     ({"potential": ZERO_POTENTIAL, "lambdas": [[0.0, 1.0], [2.0]]},
      "lambdas[1]: expected a list of 2"),
     ({"potential": {"a": 0.0, "q": {"kind": "cubic"}}}, "potential.q.kind: unknown"),
-    ({"potential": ZERO_POTENTIAL, "tolerances": {"ode": "tight"}},
-     "tolerances.ode: expected a number"),
     ({"potential": ZERO_POTENTIAL, "lambdas": [[0.0, math.inf]]},
      "lambdas[0][1]: non-finite number"),
-], ids=["table-grid-str", "lambda-short", "kind-unknown", "tolerance-str", "lambda-inf"])
+    # inside the essential spectrum [q_inf, inf) of q = 0
+    ({"potential": ZERO_POTENTIAL, "lambdas": [[-1.0, 0.0], [1.0, 0.0]]},
+     "lambdas[1]: lambda=(1+0j) admits no decaying solution"),
+], ids=["table-grid-str", "lambda-short", "kind-unknown", "lambda-inf", "lambda-no-decay"])
 def test_weyl_field_errors_name_the_full_path(tmp_path, capsys, job, message):
     assert _run("weyl", _write_job(tmp_path, "job.json", job), tmp_path / "out") == 2
     assert message in capsys.readouterr().err

@@ -16,7 +16,6 @@ from slrestore.errors import (
     ThetaMismatch,
     ValidationError,
 )
-from slrestore.measure import ClassTag
 from slrestore.restore import (
     RestoredSystem,
     accretivity,
@@ -263,12 +262,10 @@ def test_sweep_columns_match_the_rows():
 # -- assembled system ---------------------------------------------------------
 
 def test_restore_system_paper_flags():
-    tag = ClassTag(kind="SL0K", stieltjes=True)
-    rs = restore_system(INF, 0.0, theta=0.0, m=0.0, xi=1.0, class_tag=tag)
+    rs = restore_system(INF, 0.0, theta=0.0, m=0.0, xi=1.0)
     assert rs.h == 1j and rs.mu == INF
     assert rs.accretive and not rs.strict
     assert rs.extremal and not rs.sectorial and rs.alpha is None
-    assert rs.class_tag == tag
 
 
 def test_restored_system_requires_upper_half_h():

@@ -195,11 +195,11 @@ def test_vh_numeric_cross_check():
 def test_verify_detects_perturbed_h(paper_measure, paper_params):
     f = StieltjesLikeFunction(sigma=paper_measure, gamma=0.0)
     grid = log_polar_grid(n_radius=5, n_angle=4)
-    good = verify_realization(f, paper_params, grid, tol=1e-6)
+    good = verify_realization(f, paper_params, grid)
     assert good.passed and good.max_residual < 1e-6
 
     perturbed = SystemParams(h=paper_params.h + 0.1, mu=INF, m_fn=_m_closed)
-    bad = verify_realization(f, perturbed, grid, tol=1e-6)
+    bad = verify_realization(f, perturbed, grid)
     assert not bad.passed and bad.max_residual > 1e-2
 
 
@@ -211,7 +211,7 @@ def test_verify_on_no_samples_is_an_error(paper_measure, paper_params):
 
 def test_verify_report_json_shape(paper_measure, paper_params):
     f = StieltjesLikeFunction(sigma=paper_measure, gamma=0.0)
-    report = verify_realization(f, paper_params, [1j], tol=1e-6)
+    report = verify_realization(f, paper_params, [1j])
     payload = report.to_json()
     assert set(payload) == {"max_residual", "eta_residual", "samples", "pass"}
     assert payload["samples"][0]["z_im"] == 1.0

@@ -8,6 +8,7 @@ Airy-function solution of a linear ramp plus its constant tail.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import warnings
 
@@ -15,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from slrestore import cli
 from slrestore.errors import (
     NegativeQInf,
     NodeAtEndpoint,
@@ -22,6 +24,7 @@ from slrestore.errors import (
     Unsupported,
     ValidationError,
 )
+from slrestore.measure import measure_to_json
 from slrestore.stieltjes import log_polar_grid
 from slrestore.weyl import (
     HalfLinePotential,
@@ -267,6 +270,33 @@ def test_table_m_minus_zero_airy_oracle(q0, q1, q_inf):
     assert abs(m0 - oracle) / abs(oracle) < 1e-8
 
 
+def test_verify_job_on_a_table_airy_oracle(tmp_path, paper_measure):
+    """A verify job sends the table m_inf through the forward model (DOP853 m_inf).
+
+    At b = inf and gamma = 0 the explicit data theta = m = 0, c = 1/sqrt 2 give
+    h = i i2/c = i (i2 = 1/sqrt 2) and mu = inf, so V_model = Im h/(m_inf + Re h).
+    m = 0 is not the ramp's m_inf(-0), which keeps m_inf + Re h clear of the
+    cancellation m_inf(z) - m_inf(-0) at small |z|.  The ramp's V is not the
+    paper's 1/sqrt(-z): the job exits 4 and writes the report.
+    """
+    p = _ramp_potential(*RAMPS[1])
+    job = {"measure": measure_to_json(paper_measure), "gamma": 0.0,
+           "potential": {"a": p.a, "q": {"kind": "table", "grid": list(p.grid),
+                                         "values": list(p.values), "cutoff": p.cutoff,
+                                         "q_inf": p.q_inf}},
+           "operator": {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}}
+    job_path, out = tmp_path / "job.json", tmp_path / "verify.json"
+    job_path.write_text(json.dumps(job))
+    assert cli.main(["verify", "--job", str(job_path), "--out", str(out), "--quiet"]) == 4
+    report = json.loads(out.read_text())
+    assert report["pass"] is False and len(report["samples"]) == 20
+    h = 1j
+    for s in report["samples"]:
+        m = _airy_ramp_m(*RAMPS[1], complex(s["z_re"], s["z_im"]))
+        expected = h.imag / (m + h.real)
+        assert abs(complex(*s["V_model"]) - expected) / abs(expected) < 1e-8
+
+
 def test_m_minus_zero_negative_q_inf():
     for p in (HalfLinePotential(kind="constant", value=-1.0),
               _ramp_potential(1.5, 0.5, -0.25)):
@@ -332,14 +362,6 @@ def test_operator_data_validation():
         name = next(k for k, v in bad.items() if not math.isfinite(v))
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             OperatorData(**bad)
-
-
-def test_evaluator_validation(zero_potential):
-    with pytest.raises(ValidationError):
-        WeylEvaluator(potential=zero_potential, ode_tol=0.0)
-    for bad in (math.nan, math.inf, 1.0, 10.0):
-        with pytest.raises(ValidationError, match="ode_tol"):
-            WeylEvaluator(potential=zero_potential, ode_tol=bad)
 
 
 def test_potential_validation():
