@@ -54,7 +54,6 @@ def _load_job(path: str, command: str) -> JsonField:
         raise ValidationError(f"cli: malformed job JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise ValidationError("cli: job file must contain a JSON object")
-    _check_finite(job, "")
     if "gamma" in job and "gamma_range" in job:
         raise ValidationError("cli: exactly one of gamma / gamma_range is required")
     if "tolerances" in job:  # refused, not ignored: the tolerances are fixed constants
@@ -66,19 +65,6 @@ def _load_job(path: str, command: str) -> JsonField:
             f"cli: job declares command {declared!r} but {command!r} was invoked"
         )
     return JsonField(job)
-
-
-def _check_finite(obj, path: str) -> None:
-    """Reject NaN and infinite numbers (json reads NaN, Infinity and 1e999)."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValidationError(f"{path}: non-finite number {obj!r}")
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _check_finite(value, f"{path}.{key}" if path else key)
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            if type(value) is not float or not math.isfinite(value):  # no call per finite float
-                _check_finite(value, f"{path}[{i}]")
 
 
 def _gammas(job: JsonField) -> list:

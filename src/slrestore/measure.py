@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -130,25 +130,16 @@ def _check_finite(where: str, **fields) -> None:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Nonnegative measure on [0, +inf), immutable after construction.
-
-    Pass ``validate=False`` only in tests that need deliberately broken
-    fixtures (e.g. negative densities for the Herglotz-failure check).
-    """
+    """Nonnegative measure on [0, +inf), immutable; validated once, on construction."""
 
     atoms: tuple = ()
     pieces: tuple = ()
     tail: Optional[Tail] = None
     declared_infinite_mass: bool = False
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.validate:
-            self._check()
-
-    def _check(self) -> None:
         for i, atom in enumerate(self.atoms):
             _check_finite(f"atom {i}", **vars(atom))
             if atom.t < 0:
@@ -364,10 +355,6 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
         f = lambda t, zc=z.reshape(-1, 1): 1.0 / (t - zc)  # one row per z
     elif not kernels or not all(isinstance(k, str) and k in _KERNELS for k in kernels):
         raise ValidationError(f"unknown kernel {kernel!r}")
-    # re-run the cheap analytic integrability guard (measures may have been
-    # built with validate=False)
-    if any(isinstance(p, PowerLawPiece) and p.lo == 0 and p.exponent <= -1 for p in sigma.pieces):
-        raise NonIntegrable("measure is not integrable against 1/(1+t)")
     b_inf = INV_T in kernels and _b_divergent(sigma)
     if b_inf and set(kernels) == {INV_T}:  # nothing left to integrate
         n = len(kernels)
@@ -453,8 +440,6 @@ def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
             "infinite total mass not declared; the SL0 classes require "
             "integral d(sigma) = inf"
         )
-    if sigma.tail is None or sigma.tail.exponent > 1.0:
-        raise NotSL0("declared infinite mass is inconsistent with the tail")
     kind = "SL0K" if _b_divergent(sigma) else "SL01K"
     return ClassTag(kind=kind, stieltjes=(gamma >= 0.0))
 
@@ -462,11 +447,14 @@ def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
 # -- JSON schema -------------------------------------------------------------
 
 def json_number(x) -> float:
-    """float(x) for a JSON number; a boolean or a string raises TypeError."""
+    """float(x) for a finite JSON number: the one check of every job number.  A boolean
+    or string raises TypeError, NaN or +-inf ValueError, an int past float OverflowError."""
     # a float skips the isinstance checks (numbers.Real is a slow ABC check)
     if type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise TypeError(f"expected a number, got {x!r}")
-    return float(x)
+    if not math.isfinite(x := float(x)):
+        raise ValueError(f"non-finite number {x!r}")
+    return x
 
 
 _MISSING = object()
@@ -508,7 +496,7 @@ class JsonField:
             return None
         try:
             return json_number(self.value)
-        except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{self.path}: {exc}") from exc
 
     def numbers(self, n: Optional[int] = None) -> tuple:
@@ -516,7 +504,7 @@ class JsonField:
         if isinstance(self.value, (list, tuple)) and n in (None, len(self.value)):
             try:
                 return tuple(map(json_number, self.value))
-            except (TypeError, OverflowError):  # named below
+            except (TypeError, ValueError, OverflowError):  # named below
                 pass
         return tuple(x.number() for x in self.items(n))
 
@@ -537,11 +525,12 @@ def measure_from_json(obj) -> SpectralMeasure:
             pieces.append(PowerLawPiece(lo, hi, coeff, e))
         else:
             raise ValidationError(f"{p.path}.kind: unknown piece kind {kind!r}")
-    t = node.get("tail")
+    t, infinite = node.get("tail"), node.get("infinite_mass")
     tail = None if t.value is None else Tail(t["T"].number(), t["coeff"].number(),
                                              t["exponent"].number())
+    infinite.expect(isinstance(infinite.value, (bool, type(None))), "a boolean")
     return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail,
-                           declared_infinite_mass=bool(node.get("infinite_mass", False).value))
+                           declared_infinite_mass=bool(infinite.value))
 
 
 def measure_to_json(sigma: SpectralMeasure) -> dict:

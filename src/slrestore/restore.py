@@ -118,7 +118,7 @@ class Sweep:
 
 @dataclass(frozen=True)
 class RestoredSystem:
-    """Restored boundary parameter h, extension parameter mu, and flags."""
+    """Restored h (Im h > 0: _h raises first), extension parameter mu, and flags."""
 
     h: complex
     mu: float  # math.inf allowed
@@ -128,10 +128,6 @@ class RestoredSystem:
     sectorial: bool
     extremal: bool
     alpha: Optional[float]
-
-    def __post_init__(self):
-        if self.h.imag <= 0:
-            raise ValidationError(f"restored h={self.h} must have Im h > 0")
 
 
 _KINDS = ("non_accretive", "extremal", "sectorial")  # indexed by sector rank

@@ -257,12 +257,36 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
     ("weyl", {"potential": ZERO_POTENTIAL, "tolerances": 1e-6}, "tolerances: not a job field"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "tolerances": None},
      "tolerances: not a job field"),
+    # infinite_mass is a JSON boolean (null: absent), never read by truthiness
+    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass="no"), "gamma": 0.0},
+     "measure.infinite_mass: expected a boolean, got 'no'"),
+    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass=0.5), "gamma": 0.0},
+     "measure.infinite_mass: expected a boolean, got 0.5"),
+    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass=1), "gamma": 0.0},
+     "measure.infinite_mass: expected a boolean, got 1"),
+    # a non-finite number is refused where the field is read, by its full path
+    ("classify", {"measure": dict(PAPER_MEASURE, tail={"T": math.nan, "coeff": 1.0,
+                                                       "exponent": 0.5}), "gamma": 0.0},
+     "measure.tail.T: non-finite number nan"),
+    ("moments", {"measure": {"pieces": [{"kind": "table", "knots": [0.0, math.nan, 1.0],
+                                         "values": [1.0, 1.0, 1.0]}]}},
+     "measure.pieces[0].knots[1]: non-finite number nan"),
+    ("weyl", {"potential": {"a": 0.0, "q": {"kind": "table", "grid": [0.0, 0.5, 1.0],
+                                            "values": [1.0, math.nan, 0.5], "cutoff": 1.5}}},
+     "potential.q.values[1]: non-finite number nan"),
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                 "operator": dict(SWEEP_OPERATOR, xi=math.nan)},
+     "operator.xi: non-finite number nan"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, math.nan, 5],
+               "operator": SWEEP_OPERATOR}, "gamma_range[1]: non-finite number nan"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
         "gamma-int-overflow", "table-no-knots", "weyl-lambdas-empty",
-        "tolerances-object", "tolerances-number", "tolerances-null"])
+        "tolerances-object", "tolerances-number", "tolerances-null",
+        "infinite-mass-str", "infinite-mass-frac", "infinite-mass-int", "tail-T-nan",
+        "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
@@ -272,6 +296,15 @@ def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command
     assert cli.main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # no artifact
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, job", [
+    ("moments", {"measure": dict(PAPER_MEASURE, infinite_mass=None), "gamma": math.nan}),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "lambdas": [[math.inf, 0.0]]}),
+], ids=["moments-gamma-nan", "classify-lambdas-inf"])
+def test_fields_a_command_does_not_read_are_ignored(tmp_path, command, job):
+    # a NaN is refused only where its field is read; infinite_mass null reads as false
+    assert _run(command, _write_job(tmp_path, "job.json", job), tmp_path / "out") == 0
 
 
 def _no_propagation(*args, **kwargs):

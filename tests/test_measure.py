@@ -544,13 +544,6 @@ def test_non_integrable_at_construction():
         SpectralMeasure(pieces=(PowerLawPiece(0.0, 1.0, 1.0, -1.5),))
 
 
-def test_non_integrable_with_validation_off():
-    sigma = SpectralMeasure(pieces=(PowerLawPiece(0.0, 1.0, 1.0, -1.5),),
-                            validate=False)
-    with pytest.raises(NonIntegrable):
-        integrate_weighted(sigma, INV_1PLUS_T)
-
-
 def test_validation_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         SpectralMeasure(atoms=(Atom(1.0, -1.0),))

@@ -17,7 +17,6 @@ from slrestore.errors import (
     ValidationError,
 )
 from slrestore.restore import (
-    RestoredSystem,
     accretivity,
     gamma_admissible,
     h_locus,
@@ -266,12 +265,6 @@ def test_restore_system_paper_flags():
     assert rs.h == 1j and rs.mu == INF
     assert rs.accretive and not rs.strict
     assert rs.extremal and not rs.sectorial and rs.alpha is None
-
-
-def test_restored_system_requires_upper_half_h():
-    with pytest.raises(ValidationError):
-        RestoredSystem(h=1.0 - 1.0j, mu=0.0, gamma=0.0, accretive=True,
-                       strict=True, sectorial=True, extremal=False, alpha=0.5)
 
 
 # -- property-based identities ------------------------------------------------

@@ -155,8 +155,9 @@ def test_herglotz_real_constant_degenerate():
 
 
 def test_herglotz_fails_for_negative_density():
-    bad = SpectralMeasure(pieces=(TablePiece((0.5, 1.5), (-1.0, -1.0)),),
-                          validate=False)
+    # every constructed measure is validated: break a valid one afterwards
+    bad = SpectralMeasure(pieces=(TablePiece((0.5, 1.5), (1.0, 1.0)),))
+    object.__setattr__(bad, "pieces", (TablePiece((0.5, 1.5), (-1.0, -1.0)),))
     report = check_herglotz(StieltjesLikeFunction(sigma=bad, gamma=0.0))
     assert not report.passed and report.min_value < 0.0
 

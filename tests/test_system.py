@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from slrestore.errors import CayleyPole, SideConditionViolated, ValidationError
+from slrestore.errors import CayleyPole, PoleOfW, SideConditionViolated, ValidationError
 from slrestore.stieltjes import StieltjesLikeFunction, log_polar_grid
 from slrestore.system import (
     SystemParams,
@@ -61,9 +61,17 @@ def test_transfer_unimodular_for_real_m():
         assert abs(abs(transfer_W(p, lam)) - 1.0) < 1e-12
 
 
-def test_eta_consistency_enforced():
-    with pytest.raises(ValidationError):
-        SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed, theta_expected=1.0)
+def test_eta_consistency_enforced(paper_measure, remark_params):
+    # the gamma = 0.5 restoration of the paper measure: the forward model matches V,
+    # and eta = (mu Re h - |h|^2)/(mu - Re h) = 0, so only theta = 1 fails
+    f = StieltjesLikeFunction(sigma=paper_measure, gamma=0.5)
+    grid = log_polar_grid(n_radius=5, n_angle=4)
+    assert verify_realization(f, remark_params, grid).passed
+    p = SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed, theta_expected=1.0)
+    report = verify_realization(f, p, grid)
+    assert report.max_residual < 1e-10
+    assert report.eta_residual == pytest.approx(1.0, abs=1e-12)
+    assert not report.passed
 
 
 # -- impedance ----------------------------------------------------------------
@@ -188,6 +196,12 @@ def test_vh_numeric_cross_check():
     # both routes agree on the accretivity product here
     assert abs(report0.numeric_v_zero * report0.numeric_v_minus_inf
                - report0.v_zero * report0.v_minus_inf) < 1e-2
+
+
+def test_vh_numeric_pole_is_named():
+    # m + h = 0 at every z: the transfer function's pole, not a ZeroDivisionError
+    with pytest.raises(PoleOfW):
+        vh_functional(a=1.0, b=INF, gamma=0.0, h=1j, m_fn=lambda z: -1j)
 
 
 # -- verification -------------------------------------------------------------
