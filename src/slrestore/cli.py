@@ -54,7 +54,7 @@ def _load_job(path: str, command: str) -> JsonField:
         raise ValidationError(f"cli: malformed job JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise ValidationError("cli: job file must contain a JSON object")
-    if "gamma" in job and "gamma_range" in job:
+    if job.get("gamma") is not None and job.get("gamma_range") is not None:
         raise ValidationError("cli: exactly one of gamma / gamma_range is required")
     if "tolerances" in job:  # refused, not ignored: the tolerances are fixed constants
         raise ValidationError("tolerances: not a job field; the tolerances are fixed "
@@ -177,8 +177,7 @@ def _cmd_verify(job: JsonField):
 
 def _cmd_weyl(job: JsonField) -> bytes:
     ev = WeylEvaluator(potential=_potential(job, needed_by="weyl"))
-    if "lambdas" in job.value:
-        node = job["lambdas"]
+    if (node := job.get("lambdas")).value is not None:
         points = node.items()
         node.expect(bool(points), "a non-empty list")
         lams = [complex(*p.numbers(2)) for p in points]

@@ -9,11 +9,11 @@ exponent <= 1.
 
 A weighted integral is one pass of breadth-first adaptive Gauss-Legendre quadrature
 on the root panels of all parts: table knot segments in t, power laws in u = sqrt(t)
-and the tail in u = sqrt(T/t), with Gauss-Jacobi origin panels.  Kernels are rows
-(each z of a resolvent, or the three moments), each refining its own panels; 1/t has
-closed forms on power laws and the tail.  Every integral has the one absolute
-tolerance QUAD_TOL.  Capped refinement ends silently, its error still counted; the
-breadth cap counts the panels of all parts together.
+and the tail in u = sqrt(T/t), from Gauss-Jacobi origin panels on a fixed dyadic mesh.
+Kernels are rows (each z of a resolvent, or the three moments), each refining its own
+panels; 1/t has closed forms on power laws and the tail.  Every integral has the one
+absolute tolerance QUAD_TOL; its error adds round-off.  Capped refinement ends silently,
+its error still counted; the breadth cap counts the panels of all parts together.
 """
 from __future__ import annotations
 
@@ -222,6 +222,19 @@ _MAX_PANELS = 1 << 14
 #: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
 _MAX_DEPTH = 52
 
+#: Graded start: a root from u = 0 begins as panels down to 2**-_GRADED of its width.  The
+#: worked example's near-poles reach u ~ 0.03 u1 in both charts on the verify grid; from
+#: K = 2 to 9 its eval_V takes 6, 5, 4, 3, 3, 3, 3, 3 levels, fewest nodes at K = 6.
+_GRADED = 6
+
+#: Round-off charged to err per unit |value| of each accepted panel (a kernel value, its
+#: weight and a 21-term sum round by a few eps each); a root's sum of n panels adds
+#: sqrt(n) eps more.  err then covers the exact error of 360 quadrature moments
+#: (quad-sweep seeds 1-10) and of 432 power-law and tail resolvent and moment integrals
+#: (at most 0.67 of err; at 4 eps, 1.04).
+_EPS = np.finfo(float).eps
+_ROUNDOFF = 8.0 * _EPS
+
 
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(p: float):
@@ -247,54 +260,67 @@ def _jacobi_rule(p: float):
 def adaptive_gauss_legendre(f, lo, hi, parts=None):
     """Integrate f(t) over root panels [lo, hi] (scalars or 1-D arrays), in one pass.
 
-    f(t) returns len(t) values, or an (n, len(t)) array: one row per kernel parameter.
-    Each row and root gets absolute tolerance QUAD_TOL (hi <= lo adds 0).  Each depth level
-    is one call of f on the 10- and 21-point Gauss-Legendre nodes (not nested) of every
-    panel that some row still needs; a row accepts or bisects each of its panels by its
-    own rule difference, as it would alone, until the depth (_MAX_DEPTH) or breadth cap (at
-    most max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call) accepts a whole level
-    silently, its error still summed.  Sums run right to left per root, then by root.
-    Returns (value, err) of shape (n,) (scalars if f returns 1-D).  parts, one (stop, p,
-    chart) per block of roots up to index stop, puts those roots in u: weight u**p (a
-    panel from 0 takes the cached Gauss-Jacobi pair, p > -1), and chart(u) -> (t, factor
-    or None) gives f's t and scales f's values (row by row, if it has a row axis); the
-    sums are then per root, of shape (n, len(lo)).
+    f(t) returns len(t) values, or an (n, len(t)) array (one row per kernel parameter) that
+    it may scale in place.  Each row and root gets absolute tolerance QUAD_TOL (hi <= lo
+    adds 0).  Each depth level is one call of f on the 10- and 21-point Gauss-Legendre nodes
+    (not nested) of every panel that some row still needs; a row accepts or bisects each of
+    its panels by its own rule difference, as it would alone, until the depth (_MAX_DEPTH)
+    or breadth cap (at most max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call)
+    accepts a whole level silently, its error still summed.  Sums run right to left per
+    root, then by root.  Returns (value, err) of shape (n,) (scalars if f returns 1-D).
+    parts, one (stop, p, chart, skip) per block of roots up to index stop, gives sums per
+    root, of shape (n, len(lo)), each err plus (_ROUNDOFF + sqrt(k) eps) * sum |value| of
+    its k panels.  A number p puts the block in u: weight u**p (Gauss-Jacobi on a panel from
+    0, p > -1), and a root from 0 starts graded; chart(u) -> (t, factor or None) gives f's
+    t and scales the weights; rows in skip add nothing to the block and never refine there.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
-    per_root, parts = parts is not None, parts or [(lo.size, 0.0, None)]
+    per_root, parts = parts is not None, parts or [(lo.size, None, None, ())]
     width0 = hi - lo
     root = (width0 > 0).nonzero()[0]
     if not root.size:
         return (np.zeros((1, lo.size)),) * 2 if per_root else (0.0, 0.0)
-    a, b = lo[root], hi[root]
+    stops, a, b = [part[0] for part in parts], lo[root], hi[root]
+    ends = root.searchsorted(stops).tolist()
+    graded = [k for (_, p, *_), i, j in zip(parts, [0] + ends, ends) if p is not None
+              for k in range(i, j) if a[k] == 0.0]
+    if graded:  # depth-0 panels [0, 2**-_GRADED u1], ..., [u1/2, u1]: exact halvings of u1
+        n = np.bincount(graded, minlength=root.size) * _GRADED + 1
+        root, a, b = root.repeat(n), a.repeat(n), b.repeat(n)
+        at = (n.cumsum()[graded] - _GRADED - 1)[:, None] + np.arange(_GRADED + 1)
+        b[at] *= 0.5 ** np.arange(_GRADED, -1, -1)
+        a[at[:, 1:]] = b[at[:, :-1]]
     need = True  # (row, panel) pairs still open
     levels = []  # (accepted mask, root, left end, value, error) per depth level
     for depth in range(_MAX_DEPTH + 1):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
-        t, weights, scaled = np.empty_like(u) if per_root else u, _WEIGHTS, []
-        ends = root.searchsorted([part[0] for part in parts]).tolist()  # panels sorted by root
-        for (_, p, chart), i, j in zip(parts, [0] + ends, ends):
+        t, weights = np.empty_like(u) if per_root else u, np.tile(_WEIGHTS, (len(u), 1))
+        ends = root.searchsorted(stops).tolist()  # panels sorted by root
+        for (_, p, chart, _), i, j in zip(parts, [0] + ends, ends):
             blk = slice(i, j)
             if p and i < j:  # a rule is built only for a panel from 0: lo > 0 takes any p
-                weights = np.tile(_WEIGHTS, (len(u), 1)) if weights is _WEIGHTS else weights
-                weights[blk] = _WEIGHTS * u[blk] ** p
+                weights[blk] *= u[blk] ** p
                 if (at0 := a[blk] == 0.0).any():
                     nodes, jacobi = _jacobi_rule(p)
                     u[blk][at0] = half[blk][at0, None] * (1.0 + nodes)
                     weights[blk][at0] = jacobi * half[blk][at0, None] ** p
             if chart and i < j:
                 t[blk], factor = chart(u[blk])
-                scaled += [] if factor is None else [(blk, factor)]
+                if factor is not None:
+                    weights[blk] *= factor
         y = f(t.ravel())
         one_row, y = y.ndim == 1, y.reshape((-1,) + u.shape)  # nodes by (row, panel)
-        for blk, factor in scaled:
-            y[:, blk] *= factor
-        wf = weights * y
+        wf = np.multiply(y, weights, out=y)  # a level holds one (row, panel, node) array
         i_hi = half * wf[..., :_NODES_HI.size].sum(axis=-1)
         i_lo = half * wf[..., _NODES_HI.size:].sum(axis=-1)
+        del y, wf  # and frees it before f makes the next: no heap growth per level
         d = i_hi - i_lo
         e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
+        if not depth and any(len(part[3]) for part in parts):  # skipped rows never open
+            need = np.ones(e.shape, dtype=bool)
+            for (*_, skip), i, j in zip(parts, [0] + ends, ends):
+                need[skip, i:j] = False
         # rows share the panels; each splits only those it still needs
         split = ~(e <= QUAD_TOL * ((b - a) / width0[root])) & need
         bisect = split.any(axis=0)
@@ -312,11 +338,16 @@ def adaptive_gauss_legendre(f, lo, hi, parts=None):
     ok, root, left, i_hi, e = (np.concatenate(x, axis=-1) for x in zip(*levels))
     row, panel = ok.nonzero()
     order = np.lexsort((-left[panel], root[panel], row))  # right to left per (row, root)
-    slot, row, panel = (row[order], root[panel[order]]), row[order], panel[order]
-    value, err = np.zeros((rows, lo.size), dtype=i_hi.dtype), np.zeros((rows, lo.size))
-    np.add.at(value, slot, i_hi[row, panel])  # in index order, one by one
-    np.add.at(err, slot, e[row, panel])
-    if not per_root:  # by root, per row
+    row, panel = row[order], panel[order]
+    flat, v = row * lo.size + root[panel], i_hi[row, panel]
+    # sums per (row, root), in index order, one by one
+    total = lambda w: np.bincount(flat, w, rows * lo.size).reshape(rows, lo.size)
+    value = np.stack([total(v.real), total(v.imag)], -1).view(complex)[..., 0] \
+        if np.iscomplexobj(v) else total(v)
+    err = total(e[row, panel])
+    if per_root:  # round-off: a few eps of each panel value, sqrt(n) eps of a sum of n
+        err += (_ROUNDOFF + _EPS * np.sqrt(total(None))) * total(np.abs(v))
+    else:  # by root, per row
         value, err = value.cumsum(axis=1)[:, -1], err.cumsum(axis=1)[:, -1]
     return (value[0], err[0]) if one_row else (value, err)
 
@@ -352,7 +383,7 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
                 raise ValidationError(f"resolvent point z={zj} is not finite")
             if zj.imag == 0.0 and zj.real >= 0.0:
                 raise PoleOnSupport(f"resolvent point z={zj} lies on [0, +inf)")
-        f = lambda t, zc=z.reshape(-1, 1): 1.0 / (t - zc)  # one row per z
+        f = lambda t, zc=z.reshape(-1, 1): np.divide(1.0, d := t - zc, out=d)  # row per z
     elif not kernels or not all(isinstance(k, str) and k in _KERNELS for k in kernels):
         raise ValidationError(f"unknown kernel {kernel!r}")
     b_inf = INV_T in kernels and _b_divergent(sigma)
@@ -361,10 +392,13 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
         return (math.inf, 0.0) if kernel == INV_T else ((math.inf,) * n, (0.0,) * n)
     rows = [k for k in kernels if not (b_inf and k == INV_T)]
     if z is None:  # one row per kernel
-        f = lambda t, kfs=[_KERNELS[k] for k in rows]: np.stack([kf(t) for kf in kfs])
+        def f(t, kfs=[_KERNELS[k] for k in rows]):  # rows written into one array
+            y = np.empty((len(kfs), t.size))
+            for row, kf in zip(y, kfs):
+                row[...] = kf(t)
+            return y
     inv_t = np.array([k == INV_T for k in rows])
-    # 1/t has closed forms on power laws and the tail: its rows get a zero factor there
-    served = np.where(inv_t, 0.0, 1.0)[:, None, None] if inv_t.any() else None
+    served = inv_t.nonzero()[0]  # 1/t has closed forms on power laws and the tail
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
     if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)
         parts.append(("tail", PowerLawPiece(tail.threshold, math.inf, tail.coeff, -tail.exponent)))
@@ -380,24 +414,23 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
                 j, pref, inv = len(lo), 1.0, 0.0
                 if isinstance(piece, TablePiece):  # every knot segment is a root panel
                     lo, hi = lo + list(piece.knots[:-1]), hi + list(piece.knots[1:])
-                    blocks.append((len(lo), 0.0, lambda u, d=piece.density: (u, d(u))))
+                    blocks.append((len(lo), None, lambda u, d=piece.density: (u, d(u)), ()))
                     sums.append((where, j, len(lo), pref, inv))
                     continue
                 c, x, t0, t1 = piece.coeff, piece.exponent, piece.lo, piece.hi
                 if inv_t.any():  # elementary antiderivative; t0 = 0 only with x > 0
                     inv = c * math.log(t1 / t0) if x == 0.0 else c * (t1 ** x - t0 ** x) / x
                 if not inv_t.all():  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
-                    if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt as a factor
+                    if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt in the weights
                         pref, p, u0, u1 = 2.0 * c * t0 ** (1.0 + x), -2.0 * x - 1.0, 0.0, 1.0
-                        chart = lambda u, T=t0, w=1.0 if served is None else served: (
-                            T / (u * u), w / (u * u))
+                        chart = lambda u, T=t0: (T / (u * u), 1.0 / (u * u))
                     else:  # t = u**2
                         pref, p, u0, u1 = 2.0 * c, 2.0 * x + 1.0, math.sqrt(t0), math.sqrt(t1)
-                        chart = lambda u: (u * u, served)
+                        chart = lambda u: (u * u, None)
                     if p and not u0:
                         _jacobi_rule(p)  # built (or out of float range) here, in its part's name
                     lo, hi = lo + [u0], hi + [u1]
-                    blocks.append((len(lo), p, chart))
+                    blocks.append((len(lo), p, chart, served))
                 sums.append((where, j, len(lo), pref, inv))
             if blocks:
                 roots, errs = adaptive_gauss_legendre(f, lo, hi, parts=blocks)
@@ -477,9 +510,13 @@ class JsonField:
         return self.get(key, _MISSING)
 
     def get(self, key: str, default=None) -> "JsonField":
-        """Member key of an object, or default if absent; ``field[key]`` requires it."""
+        """Member key of an object, or default if absent or null (null is left out);
+        ``field[key]`` requires it, and a required null is for its reader to name."""
         self.expect(isinstance(self.value, dict), "an object")
-        field = JsonField(self.value.get(key, default), f"{self.path}.{key}" if self.path else key)
+        value = self.value.get(key, default)
+        if value is None and default is not _MISSING:
+            value = default
+        field = JsonField(value, f"{self.path}.{key}" if self.path else key)
         if field.value is _MISSING:
             raise ValidationError(f"{field.path}: missing")
         return field

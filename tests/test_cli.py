@@ -307,6 +307,27 @@ def test_fields_a_command_does_not_read_are_ignored(tmp_path, command, job):
     assert _run(command, _write_job(tmp_path, "job.json", job), tmp_path / "out") == 0
 
 
+@pytest.mark.parametrize("command, job, field", [
+    ("weyl", {"potential": ZERO_POTENTIAL, "lambdas": None}, ("lambdas",)),
+    ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "output": None}, ("output",)),
+    ("moments", {"measure": dict(PAPER_MEASURE, atoms=None)}, ("measure", "atoms")),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                "potential": {"a": None, "q": {"kind": "zero"}}}, ("potential", "a")),
+], ids=["lambdas", "output", "measure-atoms", "potential-a"])
+def test_null_field_reads_as_left_out(tmp_path, command, job, field):
+    # null is absent for every job field: the same artifact as the job without it
+    absent = copy.deepcopy(job)
+    *parents, last = field
+    target = absent
+    for key in parents:
+        target = target[key]
+    del target[last]
+    outs = [tmp_path / "null.out", tmp_path / "absent.out"]
+    for name, payload, out in zip(("null.json", "absent.json"), (job, absent), outs):
+        assert _run(command, _write_job(tmp_path, name, payload), out) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def _no_propagation(*args, **kwargs):
     raise AssertionError("solve_ivp called: a job that cannot succeed propagated an ODE")
 

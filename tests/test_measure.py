@@ -9,8 +9,10 @@ power-law pieces and tails); the Gauss-Jacobi origin rules against a
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -442,6 +444,92 @@ def test_power_law_from_the_origin_takes_a_few_integrand_calls(kernel, integrand
     assert 1 <= len(integrand_calls) <= 3
 
 
+# -- graded start: near-poles past the graded depth, in both charts ------------
+
+@pytest.mark.parametrize("angle", [0.1, math.pi - 0.1, math.pi - 1e-3])
+def test_graded_start_worked_example_closed_form(paper_measure, angle):
+    # the near-pole sits at u = sqrt(r) in the piece chart and sqrt(1/r) in the
+    # tail chart: from r = 1e-8 to 1e8 it reaches u = 1e-4, past 2**-6 in both
+    z = np.logspace(-8.0, 8.0, 17) * cmath.exp(1j * angle)
+    value, err = integrate_weighted(paper_measure, Resolvent(z))
+    oracle = (-z) ** -0.5
+    assert np.all(np.abs(value - oracle) <= 1e-13 * np.abs(oracle))
+    assert np.all(np.abs(value - oracle) <= err)
+
+
+_GRADED_Z = [Resolvent(cmath.rect(1e-4, 2.5)), Resolvent(cmath.rect(1e-4, 0.6)),
+             Resolvent(cmath.rect(1e4, 0.6)), Resolvent(cmath.rect(1e4, 2.5))]
+
+
+@pytest.mark.parametrize("kernel", _GRADED_Z, ids=str)
+@pytest.mark.parametrize("e", [0.2, -0.8])
+def test_graded_start_power_law_hypergeometric_oracle(kernel, e):
+    # e = 0.2 and -0.8 put a Gauss-Jacobi rule (u**1.4, u**-0.6) on the smallest graded panel
+    value, err = integrate_weighted(SpectralMeasure(pieces=(PowerLawPiece(0.0, 0.7, 1.7, e),)),
+                                    kernel)
+    with mpmath.workdps(40):
+        oracle = complex(1.7 * _hyp2f1_kernel_integral(kernel, e, 0.7))
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+    assert abs(value - oracle) <= err
+
+
+@pytest.mark.parametrize("kernel", _GRADED_Z, ids=str)
+def test_graded_start_tail_hypergeometric_oracle(kernel):
+    value, err = integrate_weighted(SpectralMeasure(tail=Tail(1.3, 0.8, 0.3)), kernel)
+    with mpmath.workdps(40):
+        oracle = complex(0.8 * _hyp2f1_tail_integral(kernel, 0.3, 1.3))
+    assert abs(value - oracle) <= 1e-13 * abs(oracle)
+    assert abs(value - oracle) <= err
+
+
+def _benchmark_jobs(workload, seed):
+    """The benchmark's seeded jobs, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_jobs(workload, seed)
+
+
+def _moment_oracle(sigma, kernel):
+    """A moment of sigma from closed forms in mpmath: 2F1s, table antiderivatives."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for atom in sigma.atoms:
+            t = mpmath.mpf(atom.t)
+            total += atom.w / {INV_T: t, INV_1PLUS_T: 1 + t, INV_1PLUS_T2: 1 + t * t}[kernel]
+        for p in sigma.pieces:
+            if isinstance(p, TablePiece):
+                total += _table_oracle(p, kernel).real
+            elif kernel == INV_T:
+                e = mpmath.mpf(p.exponent)
+                total += p.coeff * (mpmath.mpf(p.hi) ** e - mpmath.mpf(p.lo) ** e) / e
+            else:
+                total += p.coeff * (_hyp2f1_kernel_integral(kernel, p.exponent, p.hi)
+                                    - _hyp2f1_kernel_integral(kernel, p.exponent, p.lo))
+        tail = sigma.tail
+        if kernel == INV_T:
+            total += tail.coeff * mpmath.mpf(tail.threshold) ** -tail.exponent / tail.exponent
+        else:
+            total += tail.coeff * _hyp2f1_tail_integral(kernel, tail.exponent, tail.threshold)
+        return total
+
+
+def test_moment_errors_cover_the_exact_error():
+    # without a round-off floor err is the rule difference alone, below the exact
+    # error on half of these (err_b 8.6e-16 against 3.9e-15 on the fourth job)
+    for job in _benchmark_jobs("quad-sweep", 1):
+        if job["command"] != "moments":
+            continue
+        sigma = measure_from_json(job["measure"])
+        mom = moments(sigma)
+        for kernel, value, err in [(INV_1PLUS_T, mom.a, mom.err_a), (INV_T, mom.b, mom.err_b),
+                                   (INV_1PLUS_T2, mom.i2, mom.err_i2)]:
+            if not math.isinf(value):
+                with mpmath.workdps(40):
+                    assert abs(mpmath.mpf(value) - _moment_oracle(sigma, kernel)) <= err
+
+
 # -- moments ------------------------------------------------------------------
 
 def test_moments_paper(paper_measure):
@@ -687,74 +775,75 @@ _SHAPES = {
 }
 
 # float.hex of moments (a, b, i2, err_a, err_b, err_i2) and of eval_V on
-# log_polar_grid(5, 4) (real, imaginary), as one quadrature call per part and
-# per kernel computed them
+# log_polar_grid(5, 4) (real, imaginary), as one quadrature pass with graded
+# origin panels computes them; every value is within 5e-16 (relative) of the
+# mpmath table and hypergeometric oracles above, and each err covers that error
 _PINNED = {
     "paper": (
         "0x1.0000000000001p+0 inf 0x1.6a09e667f3bcep-1 "
-        "0x1.69999b9cbda71p-44 0x0.0p+0 0x1.73c933d3a28b6p-52",
+        "0x1.951f2de2ac583p-49 0x0.0p+0 0x1.1a8153a646076p-49",
         "0x1.38b405b5e545fp+3 0x1.e133654518242p+4 0x1.2965ff595f04dp+4 0x1.995575277a344p+4 "
         "0x1.995575277a343p+4 0x1.2965ff595f04ep+4 0x1.e133654518242p+4 0x1.38b405b5e545ep+3 "
-        "0x1.bcdbe3f142390p+0 0x1.5648a4c6cca52p+2 0x1.a716041ce72d0p+1 0x1.2329f9556abf7p+2 "
-        "0x1.2329f9556abf8p+2 0x1.a716041ce72d1p+1 0x1.5648a4c6cca51p+2 0x1.bcdbe3f142393p+0 "
-        "0x1.3c6ef372fe953p-2 0x1.e6f0e13445500p-1 0x1.2cf2304755a5fp-1 0x1.9e3779b97f4aap-1 "
-        "0x1.9e3779b97f4a9p-1 0x1.2cf2304755a60p-1 0x1.e6f0e13445502p-1 0x1.3c6ef372fe953p-2 "
-        "0x1.c22a64f6ab1c8p-5 0x1.5a5de7ae00947p-3 0x1.ac2207b70ea9ap-4 0x1.26a320595fc12p-3 "
-        "0x1.26a320595fc11p-3 0x1.ac2207b70ea9bp-4 0x1.5a5de7ae00948p-3 0x1.c22a64f6ab1c5p-5 "
-        "0x1.40354555e8ba6p-7 0x1.ecbfe4a0dd541p-6 0x1.308936a125e85p-6 0x1.a3286794f8043p-6 "
+        "0x1.bcdbe3f142390p+0 0x1.5648a4c6cca50p+2 0x1.a716041ce72d1p+1 0x1.2329f9556abf8p+2 "
+        "0x1.2329f9556abf8p+2 0x1.a716041ce72d1p+1 0x1.5648a4c6cca51p+2 0x1.bcdbe3f142392p+0 "
+        "0x1.3c6ef372fe951p-2 0x1.e6f0e13445502p-1 0x1.2cf2304755a60p-1 0x1.9e3779b97f4abp-1 "
+        "0x1.9e3779b97f4a9p-1 0x1.2cf2304755a5fp-1 0x1.e6f0e13445500p-1 0x1.3c6ef372fe953p-2 "
+        "0x1.c22a64f6ab1c6p-5 0x1.5a5de7ae00948p-3 0x1.ac2207b70ea9ap-4 0x1.26a320595fc12p-3 "
+        "0x1.26a320595fc11p-3 0x1.ac2207b70ea9cp-4 0x1.5a5de7ae00948p-3 0x1.c22a64f6ab1c5p-5 "
+        "0x1.40354555e8ba7p-7 0x1.ecbfe4a0dd541p-6 0x1.308936a125e85p-6 0x1.a3286794f8043p-6 "
         "0x1.a3286794f8044p-6 0x1.308936a125e84p-6 0x1.ecbfe4a0dd542p-6 0x1.40354555e8ba5p-7"),
     "power-law-and-table": (
-        "0x1.1c52b3e366319p+1 inf 0x1.d4d05cd6b0418p+0 "
-        "0x1.e3c046018710fp-50 0x0.0p+0 0x1.0bb379bc9a5d3p-45",
+        "0x1.1c52b3e366318p+1 inf 0x1.d4d05cd6b0416p+0 "
+        "0x1.6fcca765dd199p-48 0x0.0p+0 0x1.262a6fbbf4c39p-48",
         "0x1.aa435fcd75b51p+4 0x1.cfe7770923b12p+5 0x1.4de37ff6ed829p+5 0x1.8094e3a12c982p+5 "
-        "0x1.abb8753698f43p+5 0x1.12b7e096471ebp+5 0x1.e72d03e513499p+5 0x1.1e13d268b5821p+4 "
-        "0x1.47ddaf67d6808p+2 0x1.8838880922585p+3 0x1.09fc85fb333c6p+3 0x1.452e1f7a3b5a9p+3 "
-        "0x1.5946e587ead81p+3 0x1.d097a50007686p+2 0x1.8b847f80351c6p+3 0x1.e3cfb16e3eacdp+1 "
-        "0x1.665d4224a2e0ap-2 0x1.498027c3cfb52p+1 0x1.2dd28b0248136p+0 0x1.0f42097cf2735p+1 "
-        "0x1.bfd7b8e855614p+0 0x1.824b43b77060fp+0 0x1.0cff3f12e8d63p+1 0x1.91ad73c5a9b2ap-1 "
-        "-0x1.0a2547e57e973p-4 0x1.b3b37f0750f64p-3 0x1.5a6bd21fb3d13p-5 0x1.c96a4b769967ap-3 "
-        "0x1.1de934f272a0bp-3 0x1.7200f7c059350p-3 0x1.a3e0355f940a4p-3 0x1.99474419436d5p-4 "
-        "-0x1.6dc77be48d99cp-9 0x1.37167796c175ap-6 0x1.61b52421bb445p-8 0x1.32ace0716f624p-6 "
-        "0x1.a468cecadba5bp-7 0x1.e97e5b70013fap-7 0x1.27086e321ae47p-6 0x1.0f44511f1ec42p-7"),
+        "0x1.abb8753698f43p+5 0x1.12b7e096471ebp+5 0x1.e72d03e513499p+5 0x1.1e13d268b581fp+4 "
+        "0x1.47ddaf67d6808p+2 0x1.8838880922586p+3 0x1.09fc85fb333c7p+3 0x1.452e1f7a3b5a9p+3 "
+        "0x1.5946e587ead80p+3 0x1.d097a50007684p+2 0x1.8b847f80351c7p+3 0x1.e3cfb16e3eacbp+1 "
+        "0x1.665d4224a2e0ep-2 0x1.498027c3cfb53p+1 0x1.2dd28b0248137p+0 0x1.0f42097cf2733p+1 "
+        "0x1.bfd7b8e855615p+0 0x1.824b43b77060ep+0 0x1.0cff3f12e8d63p+1 0x1.91ad73c5a9b29p-1 "
+        "-0x1.0a2547e57e970p-4 0x1.b3b37f0750f64p-3 0x1.5a6bd21fb3d16p-5 0x1.c96a4b7699678p-3 "
+        "0x1.1de934f272a0bp-3 0x1.7200f7c059350p-3 0x1.a3e0355f940a3p-3 0x1.99474419436d5p-4 "
+        "-0x1.6dc77be48d99ap-9 0x1.37167796c175ap-6 0x1.61b52421bb448p-8 0x1.32ace0716f624p-6 "
+        "0x1.a468cecadba59p-7 0x1.e97e5b70013fap-7 0x1.27086e321ae48p-6 0x1.0f44511f1ec42p-7"),
     "table-positive-at-0": (
-        "0x1.77bfb94ee31eap+0 inf 0x1.841994d1960acp-1 "
-        "0x1.0610afe5a9476p-51 0x0.0p+0 0x1.36581d50f18bep-52",
-        "0x1.2d9301bd4f765p+2 0x1.40f6f635594a8p+0 0x1.2daf66360fc31p+2 0x1.e0dd62a018a09p-1 "
+        "0x1.77bfb94ee31ecp+0 inf 0x1.841994d1960acp-1 "
+        "0x1.bdbc1532c39e6p-49 0x0.0p+0 0x1.e6a4bca1e0328p-50",
+        "0x1.2d9301bd4f766p+2 0x1.40f6f635594a7p+0 0x1.2daf66360fc32p+2 0x1.e0dd62a018a09p-1 "
         "0x1.2dca6c74d6c32p+2 0x1.404365d30fa0fp-1 0x1.2ddd7f482d4aep+2 0x1.400fab66b504dp-2 "
-        "0x1.7cafabd4988e2p+1 0x1.32e44ee3698a3p+0 0x1.80171bfe63845p+1 0x1.c8209458d3e1bp-1 "
-        "0x1.82734ca4f8a0ap+1 0x1.2ea42be45075dp-1 0x1.83c7caf20f80bp+1 0x1.2e03d22f5afeap-2 "
-        "0x1.b84b431bd29c6p+0 0x1.57ebbb664e27ap+0 0x1.852ce6d7a1a47p+0 0x1.dda044b35e60dp-1 "
-        "0x1.799c89afd9e70p+0 0x1.30a042be36440p-1 0x1.77c4c175bfcacp+0 0x1.298f84a4e9f7ep-2 "
-        "0x1.3451a19b70912p-4 0x1.09b641b645dcdp-2 0x1.5657bdf2fbb53p-3 0x1.ec1b00fe5252dp-3 "
-        "0x1.f6011df0f1890p-3 0x1.723e46d0d6285p-3 0x1.2da10c0b055b1p-2 0x1.895c14d7a792cp-4 "
-        "0x1.03e77016af348p-5 0x1.bb1a4d79cdb3cp-5 0x1.6fe419f424ea6p-5 0x1.6fc36c0cdd64ep-5 "
-        "0x1.c676e207a10fcp-5 0x1.07d019fb1a391p-5 0x1.fea4442402625p-5 0x1.13c4371332f73p-6"),
+        "0x1.7cafabd4988e0p+1 0x1.32e44ee3698a3p+0 0x1.80171bfe63846p+1 0x1.c8209458d3e1bp-1 "
+        "0x1.82734ca4f8a0bp+1 0x1.2ea42be45075dp-1 0x1.83c7caf20f80cp+1 0x1.2e03d22f5afeap-2 "
+        "0x1.b84b431bd29c7p+0 0x1.57ebbb664e27ap+0 0x1.852ce6d7a1a48p+0 0x1.dda044b35e60dp-1 "
+        "0x1.799c89afd9e71p+0 0x1.30a042be36440p-1 0x1.77c4c175bfcadp+0 0x1.298f84a4e9f7ep-2 "
+        "0x1.3451a19b70914p-4 0x1.09b641b645dccp-2 0x1.5657bdf2fbb56p-3 0x1.ec1b00fe5252cp-3 "
+        "0x1.f6011df0f1891p-3 0x1.723e46d0d6286p-3 0x1.2da10c0b055b1p-2 0x1.895c14d7a792cp-4 "
+        "0x1.03e77016af349p-5 0x1.bb1a4d79cdb3cp-5 0x1.6fe419f424ea7p-5 0x1.6fc36c0cdd650p-5 "
+        "0x1.c676e207a10fep-5 0x1.07d019fb1a392p-5 0x1.fea4442402625p-5 0x1.13c4371332f74p-6"),
     "vanishing-power-law-and-table": (
-        "0x1.2f49ba916ba71p+0 0x1.2ecc021dc8563p+1 0x1.77f9cdad7d626p-1 "
-        "0x1.b50c820ae1618p-51 0x1.7000000000000p-51 0x1.ac8f6e5d0e28fp-44",
+        "0x1.2f49ba916ba71p+0 0x1.2ecc021dc8563p+1 0x1.77f9cdad7d628p-1 "
+        "0x1.7ab421a1e2254p-49 0x1.a40852b1550edp-49 0x1.a22ced5d1dbe0p-50",
         "0x1.2f6f6bc4ea0d5p+1 0x1.4266199e40401p-7 0x1.2ebcc60f4b0d4p+1 0x1.657b6887ceab1p-7 "
         "0x1.2e1186e77e995p+1 0x1.2e2f2182c292ap-7 0x1.2d97571b60c45p+1 0x1.5837ffa617e92p-8 "
-        "0x1.3728747b9cec8p+1 0x1.59b4ef4bbf276p-3 0x1.2bac1ad078626p+1 0x1.61da77d7aee19p-3 "
-        "0x1.221d71395619dp+1 0x1.15c7b6825f164p-3 0x1.1c19fcc00d787p+1 0x1.2ca3c6af8c1bep-4 "
-        "0x1.532191b0a6fc8p+0 0x1.55fdb7580596dp+0 0x1.37430b13c7896p+0 0x1.d4cf5b14044fdp-1 "
-        "0x1.31455ddab038ep+0 0x1.2368f5b1c7708p-1 0x1.2fa7ab8c31489p+0 0x1.175f7650eaa94p-2 "
-        "-0x1.548e760361936p-4 0x1.378d44f57e3f4p-3 0x1.205c6512aef74p-7 0x1.52f11c3e5e153p-3 "
+        "0x1.3728747b9cec9p+1 0x1.59b4ef4bbf276p-3 0x1.2bac1ad078626p+1 0x1.61da77d7aee19p-3 "
+        "0x1.221d71395619dp+1 0x1.15c7b6825f164p-3 0x1.1c19fcc00d787p+1 0x1.2ca3c6af8c1bfp-4 "
+        "0x1.532191b0a6fc8p+0 0x1.55fdb7580596dp+0 0x1.37430b13c7896p+0 0x1.d4cf5b14044fep-1 "
+        "0x1.31455ddab038fp+0 0x1.2368f5b1c7709p-1 0x1.2fa7ab8c31489p+0 0x1.175f7650eaa94p-2 "
+        "-0x1.548e760361935p-4 0x1.378d44f57e3f4p-3 0x1.205c6512aef74p-7 0x1.52f11c3e5e153p-3 "
         "0x1.611f2eb6fc3a6p-4 0x1.0f625f9861e77p-3 0x1.14327564c5d62p-3 0x1.27e80bd280d86p-4 "
-        "-0x1.3d2343b28dfc5p-8 0x1.dbff496befbc6p-8 -0x1.a66d8e93945e6p-12 0x1.1b4abb7a04598p-7 "
-        "0x1.0aeada0a63a74p-8 0x1.f053c6032b0cbp-8 0x1.e1d616353ae46p-8 0x1.1fc7a5da919c4p-8"),
+        "-0x1.3d2343b28dfc5p-8 0x1.dbff496befbc6p-8 -0x1.a66d8e93945e0p-12 0x1.1b4abb7a04599p-7 "
+        "0x1.0aeada0a63a75p-8 0x1.f053c6032b0cap-8 0x1.e1d616353ae47p-8 0x1.1fc7a5da919c4p-8"),
     "table-vanishing-at-0": (
-        "0x1.537c729c6c69ep+0 0x1.35b535d9e7c12p+1 0x1.64afe5cfc6d84p-1 "
-        "0x1.1982c14a82555p-51 0x1.bde0000000000p-41 0x1.8cc8843df8700p-52",
-        "0x1.367002fbb2572p+1 0x1.13a5dcf213cb1p-7 0x1.35c5442835c4ap+1 0x1.44134b17ccf9fp-7 "
-        "0x1.351ea04faac24p+1 0x1.1866b75aea4eap-7 0x1.34a72cad0e91ep+1 0x1.427b6cb5ce25dp-8 "
-        "0x1.3d2ac39de1835p+1 0x1.68aa14aa4d0a1p-3 0x1.31edc741b3462p+1 0x1.5a0b8f7f8ea7ap-3 "
-        "0x1.29370f42bc589p+1 0x1.07be2aee50757p-3 0x1.23d5ce4471f09p+1 0x1.1a207e65e4ee1p-4 "
-        "0x1.5e41030cee1a4p+0 0x1.4f23c75e2bb8bp+0 0x1.5a1b4e627facep+0 0x1.bf5ae76f1b072p-1 "
-        "0x1.55e8eb591a0e8p+0 0x1.135f95665a716p-1 0x1.540502ac3617ep+0 0x1.06e7cf5268c4dp-2 "
-        "0x1.366dda6bb34acp-3 0x1.d4cb7be87fb7ep-3 0x1.c062192c26cd8p-3 0x1.a73dee1a5ba73p-3 "
-        "0x1.1cee9083bed2ap-2 0x1.3c67ef005818ep-3 0x1.447fb781420bfp-2 0x1.4ff13c392c53fp-4 "
-        "0x1.1db95488b227ap-4 0x1.16adbd43813b3p-4 0x1.4fc891ff809d5p-4 0x1.bbcc1e0913cdfp-5 "
-        "0x1.76bf0a29c34b8p-4 0x1.356ca7ccd5e04p-5 0x1.8f96bf6f271e7p-4 0x1.3e21aeca6721dp-6"),
+        "0x1.537c729c6c69fp+0 0x1.35b535d9e7c12p+1 0x1.64afe5cfc6d85p-1 "
+        "0x1.adafc10aa7b55p-49 0x1.c0017bdb4ca5ep-41 0x1.c592278e6098ep-50",
+        "0x1.367002fbb2574p+1 0x1.13a5dcf213cb1p-7 0x1.35c5442835c4cp+1 0x1.44134b17ccf9fp-7 "
+        "0x1.351ea04faac25p+1 0x1.1866b75aea4eap-7 0x1.34a72cad0e91fp+1 0x1.427b6cb5ce25cp-8 "
+        "0x1.3d2ac39de1836p+1 0x1.68aa14aa4d0a1p-3 0x1.31edc741b3463p+1 0x1.5a0b8f7f8ea7ap-3 "
+        "0x1.29370f42bc58bp+1 0x1.07be2aee50756p-3 0x1.23d5ce4471f0ap+1 0x1.1a207e65e4ee1p-4 "
+        "0x1.5e41030cee1a6p+0 0x1.4f23c75e2bb8bp+0 0x1.5a1b4e627fad0p+0 0x1.bf5ae76f1b072p-1 "
+        "0x1.55e8eb591a0eap+0 0x1.135f95665a717p-1 0x1.540502ac36180p+0 0x1.06e7cf5268c4dp-2 "
+        "0x1.366dda6bb34b2p-3 0x1.d4cb7be87fb7ep-3 0x1.c062192c26cdep-3 0x1.a73dee1a5ba73p-3 "
+        "0x1.1cee9083bed2dp-2 0x1.3c67ef005818ep-3 0x1.447fb781420c2p-2 0x1.4ff13c392c542p-4 "
+        "0x1.1db95488b227cp-4 0x1.16adbd43813b3p-4 0x1.4fc891ff809d8p-4 0x1.bbcc1e0913cdfp-5 "
+        "0x1.76bf0a29c34bdp-4 0x1.356ca7ccd5e06p-5 0x1.8f96bf6f271eap-4 0x1.3e21aeca6721fp-6"),
 }
 
 
@@ -776,9 +865,10 @@ def test_moments_is_one_quadrature_pass(name, paper_measure, integrand_calls):
 
 
 def test_eval_V_on_the_verify_grid_is_one_quadrature_pass(paper_measure, integrand_calls):
-    # piece and tail in one pass: one integrand call per level of the deepest point
+    # piece and tail in one pass: one integrand call per level of the deepest point;
+    # the graded origin panels leave 3 levels (8 when each chart started as one panel)
     eval_V(StieltjesLikeFunction(paper_measure, 0.0), log_polar_grid(5, 4))
-    assert integrand_calls.passes == 1 and 1 <= len(integrand_calls) <= 8
+    assert integrand_calls.passes == 1 and 1 <= len(integrand_calls) <= 3
 
 
 def _wrap_integrands(monkeypatch, wrap):
