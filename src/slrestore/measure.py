@@ -7,13 +7,14 @@ be verified from finite data and is therefore declared by a flag; the
 validator only checks that the declaration is consistent with a tail
 exponent <= 1.
 
-A weighted integral is one pass of breadth-first adaptive Gauss-Legendre quadrature
-on the root panels of all parts: table knot segments in t, power laws in u = sqrt(t)
-and the tail in u = sqrt(T/t), from Gauss-Jacobi origin panels on a fixed dyadic mesh.
-Kernels are rows (each z of a resolvent, or the three moments), each refining its own
-panels; 1/t has closed forms on power laws and the tail.  Every integral has the one
-absolute tolerance QUAD_TOL; its error adds round-off.  Capped refinement ends silently,
-its error still counted; the breadth cap counts the panels of all parts together.
+Every kernel is a point of the resolvent R(z) = integral d(sigma)(t) / (t - z): a resolvent's
+own z, -1 for 1/(1+t), 0 for 1/t and the imaginary part at i for 1/(1+t^2).  Atoms and the
+knot segments of tables are in closed form, as is 1/t on power laws and the tail.  The rest
+is one pass of breadth-first adaptive Gauss-Legendre quadrature on one root per power law
+(in u = sqrt(t)) and the tail (in u = sqrt(T/t)), from Gauss-Jacobi origin panels on a fixed
+dyadic mesh; each root has the absolute tolerance QUAD_TOL before its prefactor (2c, or
+2c T**(1-s) for the tail), and capped refinement ends silently, its error still counted.  Every part's error adds the one round-off rule: a few
+eps of each term, sqrt(n) eps of a sum of n terms.
 """
 from __future__ import annotations
 
@@ -108,9 +109,6 @@ class TablePiece:
     @property
     def hi(self) -> float:
         return self.knots[-1]
-
-    def density(self, t):
-        return np.interp(t, self.knots, self.values)
 
 
 @dataclass(frozen=True)
@@ -213,10 +211,9 @@ _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 
-#: Breadth cap: most (panel, row) pairs one refinement level may hold (or the
-#: root count times the rows, if larger).  Past it, QUAD_TOL is below the round-off
-#: of the integrand: a panel is bisected while its rule difference exceeds QUAD_TOL
-#: times its share of its root's width, and that share halves with every level.
+#: Breadth cap: most (panel, row) pairs one refinement level may hold.  Past it, QUAD_TOL
+#: is below the round-off of the integrand: a panel is bisected while its rule difference
+#: exceeds QUAD_TOL times its share of its root's width, and that share halves every level.
 _MAX_PANELS = 1 << 14
 
 #: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
@@ -227,13 +224,19 @@ _MAX_DEPTH = 52
 #: K = 2 to 9 its eval_V takes 6, 5, 4, 3, 3, 3, 3, 3 levels, fewest nodes at K = 6.
 _GRADED = 6
 
-#: Round-off charged to err per unit |value| of each accepted panel (a kernel value, its
-#: weight and a 21-term sum round by a few eps each); a root's sum of n panels adds
-#: sqrt(n) eps more.  err then covers the exact error of 360 quadrature moments
-#: (quad-sweep seeds 1-10) and of 432 power-law and tail resolvent and moment integrals
-#: (at most 0.67 of err; at 4 eps, 1.04).
+#: Round-off charged to err per unit |value| of each term: an accepted panel (a kernel value,
+#: its weight and a 21-term sum round by a few eps each), an atom, a knot segment or a
+#: closed form; a part's sum of n terms adds sqrt(n) eps more.  err then covers the exact
+#: error of the 800 moments of quad-sweep seeds 1-10 (at most 0.15 of err), of 480
+#: 200-knot table resolvents (0.06) and of 432 power-law and tail integrals (0.67; at
+#: 4 eps, 1.04).
 _EPS = np.finfo(float).eps
 _ROUNDOFF = 8.0 * _EPS
+
+
+def _roundoff(size, n):
+    """The round-off bound of a sum of n terms whose sizes sum to size."""
+    return (_ROUNDOFF + _EPS * np.sqrt(n)) * size
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,7 +260,7 @@ def _jacobi_rule(p: float):
     return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-def adaptive_gauss_legendre(f, lo, hi, parts=None):
+def adaptive_gauss_legendre(f, lo, hi, charts=None, skip=()):
     """Integrate f(t) over root panels [lo, hi] (scalars or 1-D arrays), in one pass.
 
     f(t) returns len(t) values, or an (n, len(t)) array (one row per kernel parameter) that
@@ -265,50 +268,43 @@ def adaptive_gauss_legendre(f, lo, hi, parts=None):
     adds 0).  Each depth level is one call of f on the 10- and 21-point Gauss-Legendre nodes
     (not nested) of every panel that some row still needs; a row accepts or bisects each of
     its panels by its own rule difference, as it would alone, until the depth (_MAX_DEPTH)
-    or breadth cap (at most max(_MAX_PANELS, n * len(lo)) (panel, row) pairs per call)
-    accepts a whole level silently, its error still summed.  Sums run right to left per
-    root, then by root.  Returns (value, err) of shape (n,) (scalars if f returns 1-D).
-    parts, one (stop, p, chart, skip) per block of roots up to index stop, gives sums per
-    root, of shape (n, len(lo)), each err plus (_ROUNDOFF + sqrt(k) eps) * sum |value| of
-    its k panels.  A number p puts the block in u: weight u**p (Gauss-Jacobi on a panel from
-    0, p > -1), and a root from 0 starts graded; chart(u) -> (t, factor or None) gives f's
-    t and scales the weights; rows in skip add nothing to the block and never refine there.
+    or breadth cap (at most _MAX_PANELS (panel, row) pairs per call) accepts a whole level
+    silently, its error still summed.  Sums run right to left per root, then by root.
+    Returns (value, err) of shape (n,) (scalars if f returns 1-D).  charts, one (p, chart)
+    per root, puts the roots in u and gives sums per root, of shape (n, len(lo)), each err
+    plus the round-off of its panels (_roundoff): weight u**p (Gauss-Jacobi on a panel from
+    0, p > -1), a root from 0 starts graded, and chart(u) -> (t, factor) gives f's t and
+    scales the weights.  Rows in skip add nothing and never refine.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
-    per_root, parts = parts is not None, parts or [(lo.size, None, None, ())]
-    width0 = hi - lo
+    per_root, width0 = charts is not None, hi - lo
     root = (width0 > 0).nonzero()[0]
     if not root.size:
         return (np.zeros((1, lo.size)),) * 2 if per_root else (0.0, 0.0)
-    stops, a, b = [part[0] for part in parts], lo[root], hi[root]
-    ends = root.searchsorted(stops).tolist()
-    graded = [k for (_, p, *_), i, j in zip(parts, [0] + ends, ends) if p is not None
-              for k in range(i, j) if a[k] == 0.0]
-    if graded:  # depth-0 panels [0, 2**-_GRADED u1], ..., [u1/2, u1]: exact halvings of u1
+    a, b = lo[root], hi[root]
+    if per_root and (graded := (a == 0.0).nonzero()[0]).size:
+        # depth-0 panels [0, 2**-_GRADED u1], ..., [u1/2, u1]: exact halvings of u1
         n = np.bincount(graded, minlength=root.size) * _GRADED + 1
         root, a, b = root.repeat(n), a.repeat(n), b.repeat(n)
         at = (n.cumsum()[graded] - _GRADED - 1)[:, None] + np.arange(_GRADED + 1)
         b[at] *= 0.5 ** np.arange(_GRADED, -1, -1)
         a[at[:, 1:]] = b[at[:, :-1]]
-    need = True  # (row, panel) pairs still open
     levels = []  # (accepted mask, root, left end, value, error) per depth level
     for depth in range(_MAX_DEPTH + 1):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
         t, weights = np.empty_like(u) if per_root else u, np.tile(_WEIGHTS, (len(u), 1))
-        ends = root.searchsorted(stops).tolist()  # panels sorted by root
-        for (_, p, chart, _), i, j in zip(parts, [0] + ends, ends):
-            blk = slice(i, j)
-            if p and i < j:  # a rule is built only for a panel from 0: lo > 0 takes any p
+        ends = root.searchsorted(np.arange(lo.size + 1)).tolist()  # panels sorted by root
+        for (p, chart), i, j in zip(charts or (), ends, ends[1:]):
+            blk = slice(i, j)  # empty once the root's panels are all accepted
+            if p:  # a rule is built only for a panel from 0: lo > 0 takes any p
                 weights[blk] *= u[blk] ** p
                 if (at0 := a[blk] == 0.0).any():
                     nodes, jacobi = _jacobi_rule(p)
                     u[blk][at0] = half[blk][at0, None] * (1.0 + nodes)
                     weights[blk][at0] = jacobi * half[blk][at0, None] ** p
-            if chart and i < j:
-                t[blk], factor = chart(u[blk])
-                if factor is not None:
-                    weights[blk] *= factor
+            t[blk], factor = chart(u[blk])
+            weights[blk] *= factor
         y = f(t.ravel())
         one_row, y = y.ndim == 1, y.reshape((-1,) + u.shape)  # nodes by (row, panel)
         wf = np.multiply(y, weights, out=y)  # a level holds one (row, panel, node) array
@@ -317,16 +313,15 @@ def adaptive_gauss_legendre(f, lo, hi, parts=None):
         del y, wf  # and frees it before f makes the next: no heap growth per level
         d = i_hi - i_lo
         e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
-        if not depth and any(len(part[3]) for part in parts):  # skipped rows never open
-            need = np.ones(e.shape, dtype=bool)
-            for (*_, skip), i, j in zip(parts, [0] + ends, ends):
-                need[skip, i:j] = False
+        if not depth:  # (row, panel) pairs still open: skipped rows never open
+            need = np.ones((len(e), 1), dtype=bool)
+            need[list(skip)] = False
         # rows share the panels; each splits only those it still needs
         split = ~(e <= QUAD_TOL * ((b - a) / width0[root])) & need
         bisect = split.any(axis=0)
         n_bisect, rows = np.count_nonzero(bisect), len(split)
         # depth and breadth caps: accept the rest as they stand; their e still counts
-        if depth == _MAX_DEPTH or 2 * n_bisect * rows > max(_MAX_PANELS, rows * lo.size):
+        if depth == _MAX_DEPTH or 2 * n_bisect * rows > _MAX_PANELS:
             split[...] = n_bisect = 0
         levels.append((need ^ split, root, a, i_hi, e))  # split is a subset of need
         if not n_bisect:
@@ -346,14 +341,10 @@ def adaptive_gauss_legendre(f, lo, hi, parts=None):
         if np.iscomplexobj(v) else total(v)
     err = total(e[row, panel])
     if per_root:  # round-off: a few eps of each panel value, sqrt(n) eps of a sum of n
-        err += (_ROUNDOFF + _EPS * np.sqrt(total(None))) * total(np.abs(v))
+        err += _roundoff(total(np.abs(v)), total(None))
     else:  # by root, per row
         value, err = value.cumsum(axis=1)[:, -1], err.cumsum(axis=1)[:, -1]
     return (value[0], err[0]) if one_row else (value, err)
-
-
-_KERNELS = {INV_T: lambda t: 1.0 / t, INV_1PLUS_T: lambda t: 1.0 / (1.0 + t),
-            INV_1PLUS_T2: lambda t: 1.0 / (1.0 + t * t)}
 
 
 def _b_divergent(sigma: SpectralMeasure) -> bool:
@@ -364,6 +355,29 @@ def _b_divergent(sigma: SpectralMeasure) -> bool:
                                 else p.exponent <= 0.0) for p in sigma.pieces)
 
 
+def _table_resolvent(piece: TablePiece, z):
+    """Integral of the piece's linear density against 1/(t - z) per z of a 1-D array, and its
+    round-off, in closed form: a knot segment [t0, t0 + h] with density d0 + beta (t - t0)
+    gives d0 L + beta w (x - L), where w = t0 - z, x = h / w and L = log(1 + x)."""
+    t, d = np.asarray(piece.knots), np.asarray(piece.values)
+    beta = np.diff(d) / (h := np.diff(t))
+    w = t[:-1] - z[:, None]  # (row, segment)
+    at0 = w == 0.0  # 1/t on a segment from t = 0, where d0 = 0 (else b = inf): beta h
+    x = h / (w1 := np.where(at0, 1.0, w))
+    # for |x| < 1/4, x - L = x y - 2 y**3 (1/3 + y**2/5 + ...) with y = x / (2 + x) (L is
+    # 2 atanh y) and |y| < 1/7: 8 terms keep eps of it (numpy's complex log1p loses 8 digits
+    # near 0).  Past 1/4, L is the log of the ratio (t0 + h - z) / w, which keeps eps of L
+    # also where the segment ends next to z
+    y = x / (2.0 + x)
+    y2 = y * y
+    series = x * y - 2.0 * y * y2 * functools.reduce(lambda s, k: 1.0 / k + y2 * s,
+                                                     range(17, 1, -2), 0.0)
+    small = np.abs(x) < 0.25
+    log = np.where(small, x - series, np.log((t[1:] - z[:, None]) / w1))
+    terms = np.stack([d[:-1] * log, beta * np.where(at0, h, w * np.where(small, series, x - log))])
+    return terms.sum(axis=0).sum(axis=1), _roundoff(np.abs(terms).sum(axis=0).sum(axis=1), h.size)
+
+
 def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
     """Compute integral of the kernel against sigma.
 
@@ -371,9 +385,12 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
     the 1/t moment diverges at the origin, and complex for a resolvent kernel.
     A resolvent whose z is a 1-D array gives one value and error per z, and a
     tuple of kernel names a tuple of values and one of errors, in one pass, each
-    value as a single kernel would give it.
+    value as a single kernel would give it.  Every kernel is a row z of 1/(t - z)
+    (1/(1+t) at -1, 1/t at 0, 1/(1+t^2) the imaginary part at i); each part's error
+    adds the round-off of its terms (_roundoff).
     """
     kernels, z = kernel if isinstance(kernel, tuple) else (kernel,), None
+    points = {INV_1PLUS_T: -1.0, INV_T: 0.0, INV_1PLUS_T2: 1j}
     if isinstance(kernel, Resolvent):
         z = np.asarray(kernel.z, dtype=complex)
         if z.ndim > 1 or not z.size:
@@ -383,63 +400,53 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
                 raise ValidationError(f"resolvent point z={zj} is not finite")
             if zj.imag == 0.0 and zj.real >= 0.0:
                 raise PoleOnSupport(f"resolvent point z={zj} lies on [0, +inf)")
-        f = lambda t, zc=z.reshape(-1, 1): np.divide(1.0, d := t - zc, out=d)  # row per z
-    elif not kernels or not all(isinstance(k, str) and k in _KERNELS for k in kernels):
+    elif not kernels or not all(isinstance(k, str) and k in points for k in kernels):
         raise ValidationError(f"unknown kernel {kernel!r}")
-    b_inf = INV_T in kernels and _b_divergent(sigma)
-    if b_inf and set(kernels) == {INV_T}:  # nothing left to integrate
-        n = len(kernels)
-        return (math.inf, 0.0) if kernel == INV_T else ((math.inf,) * n, (0.0,) * n)
+    b_inf = INV_T in kernels and _b_divergent(sigma)  # then 1/t is no row, and inf
     rows = [k for k in kernels if not (b_inf and k == INV_T)]
-    if z is None:  # one row per kernel
-        def f(t, kfs=[_KERNELS[k] for k in rows]):  # rows written into one array
-            y = np.empty((len(kfs), t.size))
-            for row, kf in zip(y, kfs):
-                row[...] = kf(t)
-            return y
-    inv_t = np.array([k == INV_T for k in rows])
-    served = inv_t.nonzero()[0]  # 1/t has closed forms on power laws and the tail
+    zr = z.ravel() if z is not None else np.array([points[k] for k in rows], dtype=complex)
+    f = lambda t: np.divide(1.0, d := t - zr[:, None], out=d)  # one row per point
+    served = (inv_t := zr == 0.0).nonzero()[0]  # 1/t: closed forms on power laws and the tail
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
     if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)
         parts.append(("tail", PowerLawPiece(tail.threshold, math.inf, tail.coeff, -tail.exponent)))
-    value, err, where = 0.0, 0.0, "atoms"
+    # no -0.0 to lose: every sum starts from 0.0
+    value, err, where = np.zeros(zr.size, complex), np.zeros(zr.size), "atoms"
     try:
         with np.errstate(all="ignore"):  # a part out of float range is named below
-            for atom, k in zip(sigma.atoms, f(np.array([atom.t for atom in sigma.atoms])).T):
-                value = value + atom.w * k
-            if not np.isfinite(value).all():
-                raise OverflowError
-            lo, hi, blocks, sums = [], [], [], []  # every part's roots, for one pass
+            sums = []  # (name, quadrature root or None, its factor, closed form, its error)
+            if sigma.atoms:
+                t, w = np.array([(atom.t, atom.w) for atom in sigma.atoms]).T
+                terms = w / (t - zr[:, None])
+                sums.append((where, None, 0.0, terms.sum(axis=1),
+                             _roundoff(np.abs(terms).sum(axis=1), t.size)))
+            lo, hi, charts = [], [], []  # the power-law and tail roots, for one pass
             for where, piece in parts:
-                j, pref, inv = len(lo), 1.0, 0.0
-                if isinstance(piece, TablePiece):  # every knot segment is a root panel
-                    lo, hi = lo + list(piece.knots[:-1]), hi + list(piece.knots[1:])
-                    blocks.append((len(lo), None, lambda u, d=piece.density: (u, d(u)), ()))
-                    sums.append((where, j, len(lo), pref, inv))
+                if isinstance(piece, TablePiece):
+                    sums.append((where, None, 0.0, *_table_resolvent(piece, zr)))
                     continue
                 c, x, t0, t1 = piece.coeff, piece.exponent, piece.lo, piece.hi
-                if inv_t.any():  # elementary antiderivative; t0 = 0 only with x > 0
-                    inv = c * math.log(t1 / t0) if x == 0.0 else c * (t1 ** x - t0 ** x) / x
+                j, pref, inv, size = None, 0.0, 0.0, 0.0
+                if inv_t.any():  # antiderivative and its terms' size; t0 = 0 only with x > 0
+                    inv, size = ((c * math.log1p((t1 - t0) / t0),) * 2 if x == 0.0 else
+                                 (c * (t1 ** x - t0 ** x) / x, c * (t1 ** x + t0 ** x) / abs(x)))
                 if not inv_t.all():  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
                     if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt in the weights
                         pref, p, u0, u1 = 2.0 * c * t0 ** (1.0 + x), -2.0 * x - 1.0, 0.0, 1.0
                         chart = lambda u, T=t0: (T / (u * u), 1.0 / (u * u))
                     else:  # t = u**2
                         pref, p, u0, u1 = 2.0 * c, 2.0 * x + 1.0, math.sqrt(t0), math.sqrt(t1)
-                        chart = lambda u: (u * u, None)
+                        chart = lambda u: (u * u, 1.0)
                     if p and not u0:
                         _jacobi_rule(p)  # built (or out of float range) here, in its part's name
-                    lo, hi = lo + [u0], hi + [u1]
-                    blocks.append((len(lo), p, chart, served))
-                sums.append((where, j, len(lo), pref, inv))
-            if blocks:
-                roots, errs = adaptive_gauss_legendre(f, lo, hi, parts=blocks)
-            for where, j, i, pref, inv in sums:  # a 1/t row adds 0 to its closed form
-                v = e = 0.0
-                if i > j:  # the part's root sums, by root
-                    v = pref * roots[:, j:i].cumsum(axis=1)[:, -1]
-                    e = abs(pref) * errs[:, j:i].cumsum(axis=1)[:, -1]
-                value, err = value + (v + inv * inv_t), err + e
+                    j, lo, hi, charts = len(lo), lo + [u0], hi + [u1], charts + [(p, chart)]
+                sums.append((where, j, pref, inv * inv_t, _roundoff(size, 2) * inv_t))
+            if charts:
+                roots, errs = adaptive_gauss_legendre(f, lo, hi, charts, served)
+            for where, j, pref, v, e in sums:
+                if j is not None:  # a 1/t row adds 0 to its closed form
+                    v, e = v + pref * roots[:, j], e + abs(pref) * errs[:, j]
+                value, err = value + v, err + e
                 if not np.isfinite(value + err).all():  # err >= 0: NaN and inf show in the sum
                     raise OverflowError
     except (OverflowError, UnrepresentableMeasure) as exc:
@@ -447,11 +454,10 @@ def integrate_weighted(sigma: SpectralMeasure, kernel: Kernel):
         raise UnrepresentableMeasure(
             f"{where}: its integral against {name} or its quadrature rule is out of float range"
         ) from exc
-    n = len(rows) if z is None else z.size  # no -0.0 to lose: every sum starts from 0.0
-    value, err = value + np.zeros(n, float if z is None else complex), err + np.zeros(n)
     if z is not None:
         return (value, err) if z.ndim else (complex(value[0]), err[0])
-    pairs = dict(zip(rows, zip(value.tolist(), err.tolist())))
+    pairs = {k: (v.imag if k == INV_1PLUS_T2 else v.real, e)
+             for k, v, e in zip(rows, value.tolist(), err.tolist())}
     pairs = [pairs.get(k, (math.inf, 0.0)) for k in kernels]
     return pairs[0] if isinstance(kernel, str) else tuple(zip(*pairs))
 

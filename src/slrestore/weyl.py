@@ -260,11 +260,11 @@ def weyl_m_at_minus_zero(ev: WeylEvaluator) -> float:
 
 
 def boundary_trace_constant(potential: HalfLinePotential) -> float:
-    """Boundary-trace constant c; closed form known only for q = 0.
+    """Boundary-trace constant c; closed form known only for q = 0 (zero, or constant 0).
 
     Translation invariant in the endpoint a, hence a is ignored.
     """
-    if potential.kind != "zero":
+    if potential.kind == "table" or potential.q_inf != 0.0:
         raise Unsupported(
             "boundary-trace constant has a closed form only for q = 0; "
             "supply c explicitly in OperatorData"

@@ -104,14 +104,17 @@ def test_weyl_job(tmp_path):
 
 
 def test_verify_job_passes(tmp_path):
-    job = _write_job(tmp_path, "job.json",
-                     {"measure": PAPER_MEASURE, "gamma": 0.0,
-                      "potential": ZERO_POTENTIAL})
-    out = tmp_path / "verify.json"
-    assert _run("verify", job, out) == 0
-    payload = json.loads(out.read_text())
+    # a constant q = 0 is q = 0: the same artifact as the zero potential
+    outs = []
+    for i, q in enumerate([{"kind": "zero"}, {"kind": "constant", "value": 0}]):
+        job = _write_job(tmp_path, f"job{i}.json", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                                                    "potential": {"a": 0.0, "q": q}})
+        outs.append(tmp_path / f"verify{i}.json")
+        assert _run("verify", job, outs[-1]) == 0
+    payload = json.loads(outs[0].read_text())
     assert payload["pass"] is True and payload["max_residual"] < 1e-6
     assert len(payload["samples"]) == 20
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 # -- determinism & schema -----------------------------------------------------
@@ -461,8 +464,11 @@ def test_fuzzed_jobs_keep_the_exit_contract(case):
      "UnrepresentableMeasure: tail:"),
     ("weyl", {"potential": {"a": 0.0, "q": dict(TABLE_POTENTIAL["q"], q_inf=1e300)}}, 3,
      "PropagationTooLong: table propagation"),
+    ("moments", {"measure": {"pieces": [{"kind": "table", "knots": [0.5, 1e10],
+                                         "values": [1e308, 1e308]}]}}, 2,
+     "UnrepresentableMeasure: piece 0:"),
 ], ids=["tail-overflow", "piece-overflow", "jacobi-overflow", "jacobi-nan",
-        "jacobi-singular", "table-too-long"])
+        "jacobi-singular", "table-too-long", "table-overflow"])
 def test_out_of_range_jobs_end_in_named_errors(tmp_path, capsys, command, job, code,
                                                message):
     out = tmp_path / "out"
