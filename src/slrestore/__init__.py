@@ -16,7 +16,6 @@ from .measure import (
     ClassTag,
     Moments,
     PowerLawPiece,
-    Resolvent,
     SpectralMeasure,
     TablePiece,
     Tail,

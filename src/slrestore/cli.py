@@ -115,14 +115,14 @@ def _output(job: JsonField) -> Optional[str]:
 
 def _cmd_classify(job: JsonField) -> bytes:
     # looked up per call, so that a wrapper on measure.integrate_weighted applies
-    from .measure import INV_T, integrate_weighted
+    from .measure import integrate_weighted
 
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
     tag = classify(sigma, gamma)
-    b, _ = integrate_weighted(sigma, INV_T)
+    b, _ = integrate_weighted(sigma, 0.0)  # R(0) = b
     return _json_bytes({"class": tag.kind, "stieltjes": tag.stieltjes,
-                        "gamma": gamma, "b": _fmt(b)})
+                        "gamma": gamma, "b": _fmt(b.real)})
 
 
 def _cmd_moments(job: JsonField) -> bytes:
