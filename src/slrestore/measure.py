@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,7 +258,8 @@ def adaptive_gauss_legendre(f, lo, hi, charts, skip=()):
     call) accepts a whole level silently, its error still summed.  Rows in skip add nothing
     and never refine.  Returns (value, err) of shape (n, len(lo)), sums per row and root
     run right to left, each err plus the round-off of its panels (_roundoff); (1, len(lo))
-    zeros if no root has width.
+    zeros if no root has width.  f's array may be a view that f's next call overwrites:
+    each level consumes it before then.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
     width0 = hi - lo
@@ -362,10 +364,34 @@ def _table_resolvent(piece: TablePiece, z):
     return terms.sum(axis=0).sum(axis=1), _roundoff(np.abs(terms).sum(axis=0).sum(axis=1), h.size)
 
 
+#: Each thread's kernel workspace: one 1-D complex array that only grows, up to
+#: _WORKSPACE values (a level's (row, node) values under the breadth cap); a larger level
+#: gets an array of its own.  Reused, a level allocates no (row, node) array, so freeing
+#: one can no longer trim the heap that the next level then faults back in.
+_WORKSPACE = _NODES.size * _MAX_PANELS
+_workspace = threading.local()
+
+
+def _kernel_values(zr, t):
+    """1/(t - z), one row per point of zr and one column per node of t, in a view of this
+    thread's workspace that the next call overwrites."""
+    n = zr.size * t.size
+    work = getattr(_workspace, "array", None)
+    if work is None or work.size < n:
+        work = np.empty(n, complex)
+        if n <= _WORKSPACE:
+            _workspace.array = work
+    d = work[:n].reshape(zr.size, t.size)
+    d[...] = t.astype(complex)
+    d -= zr[:, None]
+    return np.divide(1.0, d, out=d)
+
+
 def _resolvent(sigma: SpectralMeasure, zr):
     """R at each point of zr (1-D, off (0, +inf), b finite if 0 is one) in one pass, and its
-    error: closed forms, then one quadrature call for the power-law and tail roots."""
-    f = lambda t: np.divide(1.0, d := t - zr[:, None], out=d)  # one row per point
+    error: closed forms, then one quadrature call for the power-law and tail roots, whose
+    kernel values fill this thread's workspace (_kernel_values)."""
+    f = functools.partial(_kernel_values, zr)  # one row per point
     served = (inv_t := zr == 0.0).nonzero()[0]  # 1/t: closed forms on power laws and the tail
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
     if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)

@@ -186,8 +186,12 @@ def solve_cauchy(potential: HalfLinePotential, lam: complex, x_end: float) -> Ca
 
 
 def _decay_root(lam: complex, q_inf: float) -> complex:
-    """sqrt(lambda - q_inf) on the branch with positive imaginary part."""
-    k = cmath.sqrt(complex(lam) - q_inf)
+    """sqrt(lambda - q_inf) on the branch with positive imaginary part; a difference out
+    of float range is a ValidationError (its root inf*i would pass for a decaying one)."""
+    w = complex(lam) - q_inf
+    if cmath.isinf(w):
+        raise ValidationError(f"lambda - q_inf = {w} is out of float range")
+    k = cmath.sqrt(w)
     if k.imag < 0 or (k.imag == 0 and k.real < 0):
         k = -k
     return k

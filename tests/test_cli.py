@@ -488,7 +488,13 @@ def test_out_of_range_jobs_end_in_named_errors(tmp_path, capsys, command, job, c
     # inside the essential spectrum [q_inf, inf) of q = 0
     ({"potential": ZERO_POTENTIAL, "lambdas": [[-1.0, 0.0], [1.0, 0.0]]},
      "lambdas[1]: lambda=(1+0j) admits no decaying solution"),
-], ids=["table-grid-str", "lambda-short", "kind-unknown", "lambda-inf", "lambda-no-decay"])
+    # lambda - q_inf out of float range: no NaN row, no wrong "no decaying solution"
+    ({"potential": {"a": 0.0, "q": {"kind": "constant", "value": 1e308}},
+      "lambdas": [[-1e308, 0.0]]}, "lambdas[0]: lambda - q_inf = (-inf+0j) is out of float range"),
+    ({"potential": {"a": 0.0, "q": {"kind": "constant", "value": -1e308}},
+      "lambdas": [[1e308, 1e308]]}, "lambdas[0]: lambda - q_inf = (inf+1e+308j) is out of float"),
+], ids=["table-grid-str", "lambda-short", "kind-unknown", "lambda-inf", "lambda-no-decay",
+        "lambda-minus-q-inf-overflow", "lambda-minus-q-inf-overflow-complex"])
 def test_weyl_field_errors_name_the_full_path(tmp_path, capsys, job, message):
     assert _run("weyl", _write_job(tmp_path, "job.json", job), tmp_path / "out") == 2
     assert message in capsys.readouterr().err

@@ -12,6 +12,9 @@ import cmath
 import importlib.util
 import json
 import math
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -973,3 +976,92 @@ def test_a_one_argument_integrand_wrapper_sees_every_node(tmp_path, monkeypatch,
     assert (mom.a, mom.i2) == (closed.a, closed.i2)
     exact = 0.3 / 1.7 + 0.12 / 4.1 + _table_oracle(sigma.pieces[1], -1.0).real
     assert abs(mom.a - exact) <= 1e-15
+
+
+# -- kernel workspace ---------------------------------------------------------
+
+def _quad_sweep_measures(n):
+    """The first n distinct measures of the benchmark's quad-sweep jobs, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    found = []
+    for job in workloads.make_jobs("quad-sweep", 1):
+        if job["measure"] not in found:
+            found.append(job["measure"])
+    return [measure_from_json(m) for m in found[:n]]
+
+
+def test_a_warm_pass_allocates_no_row_node_array(paper_measure):
+    # the kernel values fill the thread's workspace: what is left is small arrays and
+    # numpy's casting buffer (the parent's per-level (row, node) arrays peaked at 526 kB)
+    f, grid = StieltjesLikeFunction(paper_measure, 0.0), log_polar_grid(5, 4)
+    eval_V(f, grid)  # rules cached, workspace grown
+    moments(paper_measure)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        eval_V(f, grid)
+        moments(paper_measure)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 200e3
+
+
+def test_the_workspace_is_per_thread(paper_measure):
+    # four threads interleave passes over four measures and four point sets: each result
+    # is the one the main thread gets alone, bit for bit
+    sigmas = [paper_measure] + _quad_sweep_measures(3)
+    points = [np.array(log_polar_grid(5, 4)), np.linspace(0.2, 5.0, 20) + 1e-3j,
+              np.array([-1.0, 0.0, 1j]), np.array([-3.0 + 0.5j, 0.1j, -0.01, 2.0 - 1.0j])]
+    cases = [(s, z) for s in sigmas for z in points]
+    alone = [integrate_weighted(s, z) for s, z in cases]
+    mismatches, failures = [], []
+
+    def run(k):
+        try:
+            for _ in range(2):
+                for i in list(range(k, len(cases))) + list(range(k)):
+                    value, err = integrate_weighted(*cases[i])
+                    if not (np.array_equal(value, alone[i][0])
+                            and np.array_equal(err, alone[i][1])):
+                        mismatches.append(i)
+        except Exception as exc:  # pragma: no cover - reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(4 * k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and mismatches == []
+
+
+def test_the_workspace_is_bounded_by_the_breadth_cap(paper_measure):
+    # a near-support array refines to the breadth cap: the new thread's workspace holds
+    # its largest level, at most 31 (row, node) values per (row, panel) pair under the cap
+    held = []
+
+    def run():
+        held.append(getattr(measure_module._workspace, "array", None))
+        integrate_weighted(paper_measure, np.linspace(0.2, 5.0, 20) + 1e-3j)
+        held.append(measure_module._workspace.array.size)
+
+    integrate_weighted(paper_measure, np.array(log_polar_grid(5, 4)))  # this thread's own
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and held[0] is None
+    assert 0 < held[1] <= 31 * measure_module._MAX_PANELS

@@ -160,6 +160,15 @@ def test_m_rejects_points_without_decay(zero_evaluator):
         weyl_m(zero_evaluator, complex(math.nan, 1.0))
 
 
+@pytest.mark.parametrize("q_inf, lam", [(1e308, -1e308), (-1e308, complex(1e308, 1e308))])
+def test_m_rejects_lambda_minus_q_inf_out_of_float_range(q_inf, lam):
+    # lambda - q_inf = -inf has the root inf*i, which passed for a decaying one (m = NaN);
+    # inf + 1e308i read as having no decaying solution
+    ev = WeylEvaluator(potential=HalfLinePotential(kind="constant", value=q_inf))
+    with pytest.raises(ValidationError, match="out of float range"):
+        weyl_m(ev, lam)
+
+
 def test_reciprocal_m_herglotz_property(zero_evaluator, const1_evaluator):
     # With the sign convention pinned by m = -i sqrt(lambda) it is 1/m (the
     # impedance of the mu = inf system) that maps the upper half-plane into
