@@ -11,11 +11,12 @@ Every kernel is a point of the resolvent R(z) = integral d(sigma)(t) / (t - z): 
 are Re R(-1) (1/(1+t)), R(0) (1/t) and Im R(i) (1/(1+t^2)), and V(z) is gamma + R(z).  Atoms
 and the knot segments of tables are in closed form, as is 1/t on power laws and the tail.
 The rest is breadth-first adaptive Gauss-Legendre quadrature on one root per power law (in
-u = sqrt(t)) and the tail (in u = sqrt(T/t)), from Gauss-Jacobi origin panels on a fixed
-dyadic mesh, one pass per at most _PASS_POINTS points; each root has the absolute tolerance
-QUAD_TOL before its prefactor (2c, or 2c T**(1-s) for the tail), and capped refinement ends
-silently, its error still counted.  Every part's error adds the one round-off rule: a few
-eps of each term, sqrt(n) eps of a sum of n terms.
+u = sqrt(t)) and the tail (in u = sqrt(T/t)), one call for all points, each of which
+refines its own panels from Gauss-Jacobi origin panels graded to its scale.  Each point and
+root has the absolute tolerance QUAD_TOL before its prefactor (2c, or 2c T**(1-s) for the
+tail), or its round-off where that is larger; capped refinement ends silently, its error
+still counted.  Every part's error adds the one round-off rule: a few eps of each term,
+sqrt(n) eps of a sum of n terms.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ __all__ = [
     "measure_to_json",
 ]
 
-#: Absolute tolerance of every weighted integral, per kernel row and root.
+#: Absolute tolerance of every weighted integral, per point and root.
 QUAD_TOL = 1e-11
 
 
@@ -187,24 +188,19 @@ _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
 _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
+_HI, _LO = slice(None, _NODES_HI.size), slice(_NODES_HI.size, None)
 
-#: Breadth cap: most (panel, row) pairs one refinement level may hold.  Past it, QUAD_TOL
-#: is below the round-off of the integrand: a panel is bisected while its rule difference
-#: exceeds QUAD_TOL times its share of its root's width, and that share halves every level.
+#: Breadth cap: most panels one refinement level may hold, a bound on its memory (the
+#: workspace) only: the round-off floor ends refinement next to the support.
 _MAX_PANELS = 1 << 14
-
-#: Most points one quadrature pass takes.  The breadth cap counts (panel, row) pairs over
-#: the union of the rows' panels: on the worked example one pass of 400 points over radii
-#: 1e-8 to 1e8 at angle 0.1 reached it in a few levels (relative error 5.96, err short of
-#: it), and passes of 20 keep 2e-15.  The verify grid is 20 points: one pass.
-_PASS_POINTS = 20
 
 #: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
 _MAX_DEPTH = 52
 
-#: Graded start: a root from u = 0 begins as panels down to 2**-_GRADED of its width.  The
-#: worked example's near-poles reach u ~ 0.03 u1 in both charts on the verify grid; from
-#: K = 2 to 9 its eval_V takes 6, 5, 4, 3, 3, 3, 3, 3 levels, fewest nodes at K = 6.
+#: Graded start: a root from u = 0 begins as panels down to 2**-_GRADED of its width, or to
+#: a point's scale in u where that is finer.  The worked example's near-poles reach u ~ 0.03
+#: u1 in both charts on the verify grid; from K = 2 to 9 its eval_V takes 6, 5, 4, 3, 3, 3,
+#: 3, 3 levels, fewest nodes at K = 6.
 _GRADED = 6
 
 #: Round-off charged to err per unit |value| of each term: an accepted panel (a kernel value,
@@ -243,45 +239,58 @@ def _jacobi_rule(p: float):
     return tuple(np.concatenate(r) for r in zip(*rules))
 
 
-def adaptive_gauss_legendre(f, lo, hi, charts, skip=()):
-    """Integrate the rows of f over root panels [lo, hi] (1-D arrays), one chart per root,
-    in one pass.
+#: Each thread's workspace: one 1-D complex array that only grows, up to _WORKSPACE values
+#: (a level's nodes under the breadth cap); a larger level gets an array of its own.
+#: Reused, a level allocates no (pair, node) array, so freeing one can no longer trim the
+#: heap that the next level then faults back in.
+_WORKSPACE = _NODES.size * _MAX_PANELS
+_workspace = threading.local()
 
-    f(t) returns an (n, len(t)) array, one row per kernel parameter, that it may scale in
-    place.  charts, one (p, chart) per root, puts the root in u: weight u**p (Gauss-Jacobi
-    on a panel from 0, p > -1), a root from 0 starts graded, and chart(u) -> (t, factor)
-    gives f's t and scales the weights.  Each row and root gets absolute tolerance QUAD_TOL
-    (hi <= lo adds 0).  Each depth level is one call of f on the 10- and 21-point
-    Gauss-Legendre nodes (not nested) of every panel that some row still needs; a row
-    accepts or bisects each of its panels by its own rule difference, as it would alone,
-    until the depth (_MAX_DEPTH) or breadth cap (at most _MAX_PANELS (panel, row) pairs per
-    call) accepts a whole level silently, its error still summed.  Rows in skip add nothing
-    and never refine.  Returns (value, err) of shape (n, len(lo)), sums per row and root
-    run right to left, each err plus the round-off of its panels (_roundoff); (1, len(lo))
-    zeros if no root has width.  f's array may be a view that f's next call overwrites:
-    each level consumes it before then.
+
+def adaptive_gauss_legendre(f, lo, hi, charts, z):
+    """Integrate f(t - z) over root panels [lo, hi] (1-D arrays), one chart per root, at
+    each point of z (1-D), in one pass: (value, err) of shape (len(z), len(lo)).
+
+    charts, one (p, chart, inverse) per root, puts the root in u: weight u**p (Gauss-Jacobi
+    on a panel from 0, p > -1), chart(u) -> (t, factor) gives t and scales the weights, and
+    inverse(|z|) is a point's scale in u, down to which a root from 0 starts graded where
+    that is finer than 2**-_GRADED of its width.  Every panel belongs to one (point, root)
+    pair.  Each level is one call f(s) on s = t - z at the 21- and 10-point Gauss-Legendre
+    nodes of the open panels; s is a view of this thread's workspace that f may overwrite.
+    A panel is accepted when its rule difference meets its share of QUAD_TOL or its
+    round-off, eps (t + |z|) |f| of each node's term (the conditioning of t - z); the depth
+    and breadth caps accept a whole level, its error still summed.  Sums per point and root
+    run right to left, each err plus the round-off of its panels; hi <= lo adds 0.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
-    width0 = hi - lo
-    root = (width0 > 0).nonzero()[0]
-    if not root.size:
-        return (np.zeros((1, lo.size)),) * 2
-    a, b = lo[root], hi[root]
-    if (graded := (a == 0.0).nonzero()[0]).size:
-        # depth-0 panels [0, 2**-_GRADED u1], ..., [u1/2, u1]: exact halvings of u1
-        n = np.bincount(graded, minlength=root.size) * _GRADED + 1
-        root, a, b = root.repeat(n), a.repeat(n), b.repeat(n)
-        at = (n.cumsum()[graded] - _GRADED - 1)[:, None] + np.arange(_GRADED + 1)
-        b[at] *= 0.5 ** np.arange(_GRADED, -1, -1)
-        a[at[:, 1:]] = b[at[:, :-1]]
-    levels = []  # (accepted mask, root, left end, value, error) per depth level
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    width0, zabs = hi - lo, np.abs(z)
+    # depth 0: each root's mesh is built once for the points that share its grading and
+    # filled as one (point, panel, node) block; pair i is point pt[i] on panel g[i]
+    mesh, pairs, blocks, m, n = [], [], [], 0, 0  # (root, a, b); (pt, g); (pairs, panels, z)
+    for j in (width0 > 0).nonzero()[0].tolist():
+        # halvings per point: the least k with u1 2**-k at or below its scale, at least
+        # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
+        grade = np.zeros(z.size, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
+            np.maximum(charts[j][2](zabs) / hi[j], math.ulp(0.0)))[1])
+        for k in sorted(set(grade.tolist())):  # panels [0, u1 2**-k], ..., [u1/2, u1]
+            at, b = (grade == k).nonzero()[0], hi[j] * 0.5 ** np.arange(k, -1, -1)
+            mesh.append((np.full(b.size, j), np.concatenate((lo[j:j + 1], b[:-1])), b))
+            pairs.append((at.repeat(b.size), np.arange(at.size * b.size) % b.size + m))
+            blocks.append((slice(n, n := n + at.size * b.size), slice(m, m := m + b.size),
+                           z[at, None, None]))
+    if not n:
+        return (np.zeros((z.size, lo.size)),) * 2
+    (root, a, b), (pt, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
+    levels = []  # accepted (point, root, left end, value, error) per depth level
     for depth in range(_MAX_DEPTH + 1):
+        # nodes t and weights (chart factor included) of the level's panels, sorted by root
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
         t, weights = np.empty_like(u), np.tile(_WEIGHTS, (len(u), 1))
-        ends = root.searchsorted(np.arange(lo.size + 1)).tolist()  # panels sorted by root
-        for (p, chart), i, j in zip(charts, ends, ends[1:]):
-            blk = slice(i, j)  # empty once the root's panels are all accepted
+        ends = root.searchsorted(np.arange(len(charts) + 1)).tolist()
+        for (p, chart, _), i, j in zip(charts, ends, ends[1:]):
+            blk = slice(i, j)  # empty where the root has no panel
             if p:  # a rule is built only for a panel from 0: lo > 0 takes any p
                 weights[blk] *= u[blk] ** p
                 if (at0 := a[blk] == 0.0).any():
@@ -290,41 +299,47 @@ def adaptive_gauss_legendre(f, lo, hi, charts, skip=()):
                     weights[blk][at0] = jacobi * half[blk][at0, None] ** p
             t[blk], factor = chart(u[blk])
             weights[blk] *= factor
-        y = f(t.ravel()).reshape((-1,) + u.shape)  # nodes by (row, panel)
-        wf = np.multiply(y, weights, out=y)  # a level holds one (row, panel, node) array
-        i_hi = half * wf[..., :_NODES_HI.size].sum(axis=-1)
-        i_lo = half * wf[..., _NODES_HI.size:].sum(axis=-1)
-        del y, wf  # and frees it before f makes the next: no heap growth per level
-        d = i_hi - i_lo
-        e = np.hypot(d.real, d.imag)  # abs of a complex scalar; np.abs rounds otherwise
-        if not depth:  # (row, panel) pairs still open: skipped rows never open
-            need = np.ones((len(e), 1), dtype=bool)
-            need[list(skip)] = False
-        # rows share the panels; each splits only those it still needs
-        split = ~(e <= QUAD_TOL * ((b - a) / width0[root])) & need
-        bisect = split.any(axis=0)
-        n_bisect, rows = np.count_nonzero(bisect), len(split)
+        if (work := getattr(_workspace, "array", None)) is None or work.size < n * _NODES.size:
+            work = np.empty(n * _NODES.size, complex)
+            if work.size <= _WORKSPACE:
+                _workspace.array = work
+        s = work[:n * _NODES.size].reshape(n, _NODES.size)
+        for at, panels, zb in blocks:
+            np.subtract(t[panels].astype(complex), zb, out=s[at].reshape(len(zb), -1, _NODES.size))
+        y = f(s)
+        for at, panels, zb in blocks:
+            wf = y[at].reshape(len(zb), -1, _NODES.size)
+            np.multiply(wf, weights[panels].astype(y.dtype), out=wf)
+        i_hi, i_lo = (half[g] * y[:, k].sum(axis=-1) for k in (_HI, _LO))
+        # abs of a complex scalar; np.abs rounds otherwise
+        e = np.hypot((d := i_hi - i_lo).real, d.imag)
+        split = ~(e <= (QUAD_TOL * ((b - a) / width0[root]))[g])
+        if (open_ := split.nonzero()[0]).size:  # the round-off floor, where tol fails
+            # each node's term |w f| times its relative round-off eps (t + |z|) |f|
+            wf, r = np.abs(y[open_]), g[open_]
+            floor = _EPS * half[r] * (wf * wf / weights[r] * (t[r] + zabs[pt[open_], None])).sum(-1)
+            split[open_] = ~(e[open_] <= floor)
+        n_bisect = np.count_nonzero(split)
         # depth and breadth caps: accept the rest as they stand; their e still counts
-        if depth == _MAX_DEPTH or 2 * n_bisect * rows > _MAX_PANELS:
+        if depth == _MAX_DEPTH or 2 * n_bisect > _MAX_PANELS:
             split[...] = n_bisect = 0
-        levels.append((need ^ split, root, a, i_hi, e))  # split is a subset of need
+        levels.append((pt[~split], *(x[g[~split]] for x in (root, a)), i_hi[~split], e[~split]))
         if not n_bisect:
             break
-        need = split[:, bisect].repeat(2, axis=1)
         # each panel's halves side by side, so that panels stay sorted by root
-        root, a, b = root[bisect].repeat(2), a[bisect].repeat(2), b[bisect].repeat(2)
-        a[1::2] = b[::2] = mid[bisect]
-    ok, root, left, i_hi, e = (np.concatenate(x, axis=-1) for x in zip(*levels))
-    row, panel = ok.nonzero()
-    order = np.lexsort((-left[panel], root[panel], row))  # right to left per (row, root)
-    row, panel = row[order], panel[order]
-    flat, v = row * lo.size + root[panel], i_hi[row, panel]
-    # sums per (row, root), in index order, one by one
-    total = lambda w: np.bincount(flat, w, rows * lo.size).reshape(rows, lo.size)
+        r, n = g[split], 2 * n_bisect
+        pt, root, a, b = pt[split].repeat(2), root[r].repeat(2), a[r].repeat(2), b[r].repeat(2)
+        a[1::2] = b[::2] = mid[r]
+        g, blocks = np.arange(n), [(slice(None), slice(None), z[None, pt, None])]  # a panel each
+    pt, root, left, v, e = map(np.concatenate, zip(*levels))
+    order = np.lexsort((-left, root, pt))  # right to left per (point, root)
+    flat, v = pt[order] * lo.size + root[order], v[order]
+    # sums per (point, root), in index order, one by one
+    total = lambda w: np.bincount(flat, w, z.size * lo.size).reshape(z.size, lo.size)
     value = np.stack([total(v.real), total(v.imag)], -1).view(complex)[..., 0] \
         if np.iscomplexobj(v) else total(v)
     # round-off: a few eps of each panel value, sqrt(n) eps of a sum of n
-    return value, total(e[row, panel]) + _roundoff(total(np.abs(v)), total(None))
+    return value, total(e[order]) + _roundoff(total(np.abs(v)), total(None))
 
 
 def _b_divergent(sigma: SpectralMeasure) -> bool:
@@ -341,7 +356,7 @@ def _table_resolvent(piece: TablePiece, z):
     gives d0 L + beta w (x - L), where w = t0 - z, x = h / w and L = log(1 + x)."""
     t, d = np.asarray(piece.knots), np.asarray(piece.values)
     beta = np.diff(d) / (h := np.diff(t))
-    w = t[:-1] - z[:, None]  # (row, segment)
+    w = t[:-1] - z[:, None]  # (point, segment)
     at0 = w == 0.0  # 1/t on a segment from t = 0, where d0 = 0 (else b = inf): beta h
     x = h / (w1 := np.where(at0, 1.0, w))
     # for |x| < 1/4, x - L = x y - 2 y**3 (1/3 + y**2/5 + ...) with y = x / (2 + x) (L is
@@ -364,35 +379,11 @@ def _table_resolvent(piece: TablePiece, z):
     return terms.sum(axis=0).sum(axis=1), _roundoff(np.abs(terms).sum(axis=0).sum(axis=1), h.size)
 
 
-#: Each thread's kernel workspace: one 1-D complex array that only grows, up to
-#: _WORKSPACE values (a level's (row, node) values under the breadth cap); a larger level
-#: gets an array of its own.  Reused, a level allocates no (row, node) array, so freeing
-#: one can no longer trim the heap that the next level then faults back in.
-_WORKSPACE = _NODES.size * _MAX_PANELS
-_workspace = threading.local()
-
-
-def _kernel_values(zr, t):
-    """1/(t - z), one row per point of zr and one column per node of t, in a view of this
-    thread's workspace that the next call overwrites."""
-    n = zr.size * t.size
-    work = getattr(_workspace, "array", None)
-    if work is None or work.size < n:
-        work = np.empty(n, complex)
-        if n <= _WORKSPACE:
-            _workspace.array = work
-    d = work[:n].reshape(zr.size, t.size)
-    d[...] = t.astype(complex)
-    d -= zr[:, None]
-    return np.divide(1.0, d, out=d)
-
-
 def _resolvent(sigma: SpectralMeasure, zr):
-    """R at each point of zr (1-D, off (0, +inf), b finite if 0 is one) in one pass, and its
-    error: closed forms, then one quadrature call for the power-law and tail roots, whose
-    kernel values fill this thread's workspace (_kernel_values)."""
-    f = functools.partial(_kernel_values, zr)  # one row per point
-    served = (inv_t := zr == 0.0).nonzero()[0]  # 1/t: closed forms on power laws and the tail
+    """R at each point of zr (1-D, off (0, +inf), b finite if 0 is one), and its error:
+    closed forms, then one quadrature call for the power-law and tail roots at the points
+    off 0, whose integrand is the reciprocal of s = t - z in place."""
+    inv_t = zr == 0.0  # 1/t: closed forms on power laws and the tail
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
     if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)
         parts.append(("tail", PowerLawPiece(tail.threshold, math.inf, tail.coeff, -tail.exponent)))
@@ -419,18 +410,21 @@ def _resolvent(sigma: SpectralMeasure, zr):
                 if not inv_t.all():  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
                     if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt in the weights
                         pref, p, u0, u1 = 2.0 * c * t0 ** (1.0 + x), -2.0 * x - 1.0, 0.0, 1.0
-                        chart = lambda u, T=t0: (T / (u * u), 1.0 / (u * u))
+                        chart = (lambda u, T=t0: (T / (u * u), 1.0 / (u * u)),
+                                 lambda r, T=t0: np.sqrt(T / r))
                     else:  # t = u**2
                         pref, p, u0, u1 = 2.0 * c, 2.0 * x + 1.0, math.sqrt(t0), math.sqrt(t1)
-                        chart = lambda u: (u * u, 1.0)
+                        chart = (lambda u: (u * u, 1.0), np.sqrt)
                     if p and not u0:
                         _jacobi_rule(p)  # built (or out of float range) here, in its part's name
-                    j, lo, hi, charts = len(lo), lo + [u0], hi + [u1], charts + [(p, chart)]
+                    j, lo, hi, charts = len(lo), lo + [u0], hi + [u1], charts + [(p, *chart)]
                 sums.append((where, j, pref, inv * inv_t, _roundoff(size, 2) * inv_t))
-            if charts:
-                roots, errs = adaptive_gauss_legendre(f, lo, hi, charts, served)
+            roots, errs = np.zeros((zr.size, len(lo)), complex), np.zeros((zr.size, len(lo)))
+            if charts and not inv_t.all():
+                roots[~inv_t], errs[~inv_t] = adaptive_gauss_legendre(
+                    lambda s: np.divide(1.0, s, out=s), lo, hi, charts, zr[~inv_t])
             for where, j, pref, v, e in sums:
-                if j is not None:  # a 1/t row adds 0 to its closed form
+                if j is not None:  # a 1/t point adds 0 to its closed form
                     v, e = v + pref * roots[:, j], e + abs(pref) * errs[:, j]
                 value, err = value + v, err + e
                 if not np.isfinite(value + err).all():  # err >= 0: NaN and inf show in the sum
@@ -447,9 +441,9 @@ def integrate_weighted(sigma: SpectralMeasure, z):
     (0, +inf) or at each point of a 1-D array.
 
     R(0) is the 1/t moment b: +inf with error 0 when it diverges at the origin (an atom
-    there raises DivergentAtOrigin).  An array runs in passes of at most _PASS_POINTS
-    points, each value and error the one its point alone gives unless a pass reaches the
-    breadth cap.  Each part's error adds the round-off of its terms (_roundoff).
+    there raises DivergentAtOrigin).  All points take one quadrature call, each value and
+    error the one its point alone gives.  Each part's error adds the round-off of its
+    terms (_roundoff).
     """
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1 or not zs.size:
@@ -461,11 +455,9 @@ def integrate_weighted(sigma: SpectralMeasure, z):
             raise PoleOnSupport(f"resolvent point z={zj} lies on (0, +inf)")
     zr = zs.ravel()
     value, err = np.full(zr.size, math.inf, complex), np.zeros(zr.size)
-    at0 = zr == 0.0  # a divergent b is +inf, no row of a pass
-    todo = (~at0 if at0.any() and _b_divergent(sigma) else np.ones_like(at0)).nonzero()[0]
-    for k in range(0, todo.size, _PASS_POINTS):
-        at = todo[k:k + _PASS_POINTS]
-        value[at], err[at] = _resolvent(sigma, zr[at])
+    at0 = zr == 0.0  # a divergent b is +inf, no point of the quadrature
+    todo = ~at0 if at0.any() and _b_divergent(sigma) else slice(None)
+    value[todo], err[todo] = _resolvent(sigma, zr[todo])
     return (value, err) if zs.ndim else (complex(value[0]), float(err[0]))
 
 

@@ -52,8 +52,8 @@ def log_polar_grid(n_radius: int = 7, n_angle: int = 7) -> list:
 def eval_V(f: StieltjesLikeFunction, z):
     """V(z) = gamma + R(z) at a point off (0, +inf), or at each point of a 1-D array.
 
-    An array takes one quadrature pass per 20 points (integrate_weighted) and returns a
-    complex array whose entries equal the scalar calls bit for bit.  V(0) is
+    An array takes one quadrature call (integrate_weighted) and returns a complex array
+    whose entries equal the scalar calls bit for bit.  V(0) is
     V(0-) = gamma + b, +inf when b diverges.
     """
     value, _ = integrate_weighted(f.sigma, z)

@@ -116,7 +116,7 @@ def cayley_W_from_V(v: complex) -> complex:
 class VhReport:
     """Closed-form accretivity functional values with optional numeric cross-check."""
 
-    v_zero: Optional[float]  # None when 1 + a*b = 0 (pole)
+    v_zero: Optional[float]  # None at its pole: 1 + a*b = 0, or a = 0 when b = inf
     v_minus_inf: Optional[float]  # None when 1 + a*gamma = 0 (pole)
     accretivity_value: Optional[float]  # 1 + v_zero * v_minus_inf
     cot_alpha: float
@@ -140,8 +140,8 @@ def vh_functional(a: float, b: float, gamma: float,
     limits.  When h and a Weyl callable are supplied the transfer-function
     form is also evaluated at z = -1e-6 and z = -1e8 as a cross-check.
     """
-    if math.isinf(b):
-        v_zero: Optional[float] = -1.0 / a
+    if math.isinf(b):  # the limit -1/a; a = 0 is its pole, as 1 + ab = 0 is below
+        v_zero: Optional[float] = None if a == 0.0 else -1.0 / a
         cot_alpha = gamma
     else:
         if b - gamma <= 0.0:

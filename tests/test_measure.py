@@ -49,37 +49,37 @@ from slrestore.stieltjes import StieltjesLikeFunction, eval_V, log_polar_grid
 
 # -- quadrature core ----------------------------------------------------------
 
-#: t itself as a root's chart: no weight, factor 1
-_IDENTITY = (0.0, lambda u: (u, 1.0))
+#: t itself as a root's chart: no weight, factor 1, the scale of a point its |z|
+_IDENTITY = (0.0, lambda u: (u, 1.0), lambda r: r)
 
 
-def _quad(f, lo, hi):
-    """adaptive_gauss_legendre of f's rows over roots [lo, hi] in the identity chart, each
-    from lo > 0 (no graded start): (value, err) of shape (rows, roots)."""
+def _quad(f, lo, hi, z=0.0):
+    """adaptive_gauss_legendre of f(t - z) over roots [lo, hi] in the identity chart, each
+    from lo > 0 (no graded start), at each point of z: (value, err) of shape (points, roots)."""
     lo = np.atleast_1d(lo)
-    return adaptive_gauss_legendre(f, lo, hi, [_IDENTITY] * lo.size)
+    return adaptive_gauss_legendre(f, lo, hi, [_IDENTITY] * lo.size, z)
 
 
-def _row(f):
-    """f(t) as the one row of an integrand."""
-    return lambda t: f(t)[None]
+def _real(f):
+    """f of the real part of s = t - z: of t itself at z = 0."""
+    return lambda s: f(s.real)
 
 
 def test_quadrature_polynomial_exact():
-    value, err = _quad(_row(lambda t: 3.0 * t * t), 1.0, 2.0)
+    value, err = _quad(_real(lambda t: 3.0 * t * t), 1.0, 2.0)
     assert value.shape == err.shape == (1, 1)
     assert abs(value[0, 0] - 7.0) < 1e-13
     assert err[0, 0] >= 0.0
 
 
 def test_quadrature_oscillatory_oracle():
-    value, _ = _quad(_row(np.cos), 1.0, 31.0)
+    value, _ = _quad(_real(np.cos), 1.0, 31.0)
     oracle, _ = quad(math.cos, 1.0, 31.0)
     assert abs(value[0, 0] - oracle) < 1e-10
 
 
 def test_quadrature_empty_interval():
-    value, err = _quad(_row(np.cos), 1.0, 1.0)
+    value, err = _quad(_real(np.cos), 1.0, 1.0)
     assert value.tolist() == err.tolist() == [[0.0]]
 
 
@@ -117,9 +117,9 @@ def test_jacobi_rule_golub_welsch_oracle(p, weight_tol):
             assert np.max(np.abs(weights[rule][order] - w)) <= weight_tol * mass
 
 
-def _reference_dfs(f, lo, hi, tol=1e-11, max_depth=52):
-    """The scalar depth-first loop that the panel-set quadrature replaced; err adds the
-    round-off of the accepted panels (measure._roundoff)."""
+def _reference_dfs(f, lo, hi, z=0.0, tol=1e-11, max_depth=52):
+    """The scalar depth-first loop that the panel-set quadrature replaced, on f(t - z); err
+    adds the round-off of the accepted panels (measure._roundoff)."""
     nodes_lo, weights_lo = np.polynomial.legendre.leggauss(10)
     nodes_hi, weights_hi = np.polynomial.legendre.leggauss(21)
     width0 = hi - lo
@@ -133,8 +133,8 @@ def _reference_dfs(f, lo, hi, tol=1e-11, max_depth=52):
         a, b, depth = stack.pop()
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        i_hi = half * np.sum(weights_hi * f(mid + half * nodes_hi))
-        i_lo = half * np.sum(weights_lo * f(mid + half * nodes_lo))
+        i_hi = half * np.sum(weights_hi * f(mid + half * nodes_hi - z))
+        i_lo = half * np.sum(weights_lo * f(mid + half * nodes_lo - z))
         e = abs(i_hi - i_lo)
         if e <= tol * ((b - a) / width0) or depth >= max_depth:
             value = value + i_hi
@@ -157,11 +157,12 @@ def _jittered_table(seed, lo, hi, n_knots, v0):
     return TablePiece(tuple(knots.tolist()), tuple(values.tolist()))
 
 
-_PANEL_SET_CASES = {
-    "table-inv-1plus-t": lambda p: (lambda t: np.interp(t, p.knots, p.values) / (1.0 + t)),
-    "table-inv-t": lambda p: (lambda t: np.interp(t, p.knots, p.values) / t),
-    "table-resolvent": lambda p: (lambda t: np.interp(t, p.knots, p.values) / (t - (0.4 + 0.05j))),
-    "power-0.3": lambda p: (lambda t: np.power(t, 0.3)),
+_PANEL_SET_CASES = {  # integrands of t = s at z = 0
+    "table-inv-1plus-t": lambda p: _real(lambda t: np.interp(t, p.knots, p.values) / (1.0 + t)),
+    "table-inv-t": lambda p: _real(lambda t: np.interp(t, p.knots, p.values) / t),
+    "table-resolvent": lambda p: _real(
+        lambda t: np.interp(t, p.knots, p.values) / (t - (0.4 + 0.05j))),
+    "power-0.3": lambda p: _real(lambda t: np.power(t, 0.3)),
 }
 
 
@@ -170,7 +171,7 @@ def test_panel_set_equals_per_segment_reference(case):
     piece = _jittered_table(11, 0.25, 3.0, 40, 0.0)
     f = _PANEL_SET_CASES[case](piece)
     knots = np.asarray(piece.knots)
-    value, err = _quad(_row(f), knots[:-1], knots[1:])
+    value, err = _quad(f, knots[:-1], knots[1:])
     for k in range(knots.size - 1):
         assert (value[0, k], err[0, k]) == _reference_dfs(f, knots[k], knots[k + 1])
 
@@ -178,37 +179,38 @@ def test_panel_set_equals_per_segment_reference(case):
 def test_panel_set_zero_width_segments_add_nothing():
     lo = np.array([0.5, 1.0, 1.0, 2.5, 3.0])
     hi = np.array([1.0, 1.0, 2.5, 2.5, 2.0])  # two empty pairs, one reversed
-    value, err = _quad(_row(np.sqrt), lo, hi)
+    f = _real(np.sqrt)
+    value, err = _quad(f, lo, hi)
     for k in (0, 2):
-        assert (value[0, k], err[0, k]) == _reference_dfs(np.sqrt, lo[k], hi[k])
+        assert (value[0, k], err[0, k]) == _reference_dfs(f, lo[k], hi[k])
     assert value[0, [1, 3, 4]].tolist() == err[0, [1, 3, 4]].tolist() == [0.0] * 3
-    value, err = _quad(_row(np.sqrt), [1.0, 2.0], [1.0, 2.0])
+    value, err = _quad(f, [1.0, 2.0], [1.0, 2.0])
     assert value.tolist() == err.tolist() == [[0.0, 0.0]]
 
 
-# s = |t - 1| on [1, 2] is [0, 1] from a root with lo > 0 (no graded start); the abs keeps
+# s = t - 1 on [1, 2] is [0, 1] from a root with lo > 0 (no graded start); the abs keeps
 # s >= 0 where a node of a panel of one ulp rounds below 1
 
 def test_depth_cap_one_integrand_call_per_level():
     calls = []
 
-    def f(t):
-        calls.append(t.size)
-        return np.abs(t - 1.0) ** 0.2
+    def f(s):
+        calls.append(s.size)
+        return np.abs(s.real) ** 0.2
 
-    value, err = _quad(_row(f), 1.0, 2.0)
+    value, err = _quad(f, 1.0, 2.0, 1.0)
     assert len(calls) == 53  # depths 0..52: the cap is reached, silently
     assert abs(value[0, 0] - 1.0 / 1.2) < 1e-10
-    assert (value[0, 0], err[0, 0]) == _reference_dfs(f, 1.0, 2.0)
+    assert (value[0, 0], err[0, 0]) == _reference_dfs(f, 1.0, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("f", [lambda t: np.abs(t - 1.37) ** 0.5,
-                               lambda t: 1.0 / (t - (1.3 + 0.01j))], ids=["kink", "pole"])
-def test_panel_sums_in_depth_first_order(f):
+@pytest.mark.parametrize("f, z", [(lambda s: np.abs(s.real) ** 0.5, 1.37),
+                                  (lambda s: 1.0 / s, 1.3 + 0.01j)], ids=["kink", "pole"])
+def test_panel_sums_in_depth_first_order(f, z):
     # refinement on both sides of an interior point: panels must be added
     # right to left, as the depth-first stack popped them, to match it exactly
-    value, err = _quad(_row(f), 1.0, 2.0)
-    assert (value[0, 0], err[0, 0]) == _reference_dfs(f, 1.0, 2.0)
+    value, err = _quad(f, 1.0, 2.0, z)
+    assert (value[0, 0], err[0, 0]) == _reference_dfs(f, 1.0, 2.0, z)
 
 
 _ROW_PARAMS = np.array([0.13, 0.37, 0.81, 1.7])
@@ -219,33 +221,32 @@ def _hidden_bump(t):
     return np.maximum(0.0, 1.0 - np.abs(t - 0.5367) / 0.02)
 
 
-@pytest.mark.parametrize("rows", [
-    lambda t: np.abs(t - _ROW_PARAMS[:, None]) ** 0.5,
-    lambda t: 1.0 / (t - (_ROW_PARAMS[:, None] + 0.01j)),
-    lambda t: np.power(t, _ROW_PARAMS[:, None]),
-    lambda t: np.stack([_hidden_bump(t) + 0j, 1.0 / (t - (0.53 + 0.01j))]),
+@pytest.mark.parametrize("f, z", [
+    (lambda s: np.abs(s.real) ** 0.5, 1.0 + _ROW_PARAMS),
+    (lambda s: 1.0 / s, 1.0 + _ROW_PARAMS + 0.01j),
+    (lambda s: np.abs(s.real) ** s.imag, 1.0 - 1j * _ROW_PARAMS),  # t - 1 to the power p
+    (lambda s: np.where(s.imag == 0.0, _hidden_bump(s.real), 1.0 / s),
+     np.array([1.0, 1.53 + 0.01j])),
 ], ids=["kinks", "poles", "powers", "accepted-row-stays-accepted"])
-def test_vector_rows_equal_scalar_reference(rows):
-    # each row refines around its own point (or to the depth cap at s = 0), so the
-    # levels' panel sets differ per row; every row must still get the scalar
-    # loop's value and error exactly.  In the last case the bump row accepts
-    # [0, 1] at once, and must not take up the panels the pole row refines.
-    f = lambda t: rows(np.abs(t - 1.0))
-    value, err = _quad(f, 1.0, 2.0)
-    assert value.shape == err.shape == (len(rows(np.zeros(1))), 1)
-    for j in range(len(value)):
-        assert (value[j, 0], err[j, 0]) == _reference_dfs(lambda t: f(t)[j], 1.0, 2.0)
+def test_vector_rows_equal_scalar_reference(f, z):
+    # each point refines around its own kink or pole (or to the depth cap at s = 0), so its
+    # panels differ from the others'; every point must get the scalar loop's value and
+    # error exactly.  In the last case the bump point accepts [1, 2] at once, and must not
+    # take up the panels the pole point refines.
+    value, err = _quad(f, 1.0, 2.0, z)
+    assert value.shape == err.shape == (z.size, 1)
+    for j, zj in enumerate(z.tolist()):
+        assert (value[j, 0], err[j, 0]) == _reference_dfs(f, 1.0, 2.0, complex(zj))
 
 
 def test_vector_rows_on_root_panels_equal_the_scalar_calls():
-    piece = _jittered_table(11, 0.25, 3.0, 40, 0.0)
-    knots = np.asarray(piece.knots)
+    # the points of one call each get what they get alone, on every knot segment's root
+    knots = np.asarray(_jittered_table(11, 0.25, 3.0, 40, 0.0).knots)
     z = np.array([0.4 + 0.05j, 1.9 + 0.02j, -1.0 + 0.5j])
-    value, err = _quad(lambda t: np.interp(t, piece.knots, piece.values) / (t - z[:, None]),
-                       knots[:-1], knots[1:])
+    f = lambda s: np.divide(1.0, s, out=s)
+    value, err = _quad(f, knots[:-1], knots[1:], z)
     for j, zj in enumerate(z):
-        one, one_err = _quad(_row(lambda t: np.interp(t, piece.knots, piece.values) / (t - zj)),
-                             knots[:-1], knots[1:])
+        one, one_err = _quad(f, knots[:-1], knots[1:], zj)
         assert value[j].tolist() == one[0].tolist() and err[j].tolist() == one_err[0].tolist()
 
 
@@ -277,11 +278,11 @@ def integrand_calls(monkeypatch):
     return sizes
 
 
-def test_breadth_cap_when_tol_is_below_round_off(integrand_calls):
+def test_the_round_off_floor_ends_refinement_when_tol_is_below_it(integrand_calls):
     # an integral of about 1e6 in the quadrature's own units (t/(1+t) up to t = 1e6; the
     # coefficient scales its sum, not its nodes) puts the rule difference (round-off)
-    # above the absolute tol on every panel; the panel count doubles per level until the
-    # cap accepts the level, and the error estimate still reports what is left
+    # above the absolute tol on every panel; each panel is accepted once its rule
+    # difference is within its own round-off, and the error estimate still reports it
     value, err = integrate_weighted(SpectralMeasure(pieces=(PowerLawPiece(1.0, 1e6, 1.0, 1.0),)),
                                     -1.0)
     with mpmath.workdps(40):
@@ -289,8 +290,23 @@ def test_breadth_cap_when_tol_is_below_round_off(integrand_calls):
                         - _hyp2f1_kernel_integral(-1.0, 1.0, 1.0)).real)
     assert abs(value - oracle) <= 1e-13 * abs(oracle)
     assert abs(value - oracle) <= err and err > 1e-11
-    assert len(integrand_calls) < 53
-    assert 2 * max(integrand_calls) > 31 * measure_module._MAX_PANELS  # the cap ended it
+    # neither cap: not the depth cap's 53 levels, no level past half the breadth cap
+    assert integrand_calls == [31] + [62] * 10
+    assert 2 * max(integrand_calls) <= 31 * measure_module._MAX_PANELS
+
+
+def test_breadth_cap_accepts_a_level_of_noise(integrand_calls):
+    # seeded noise never meets its tolerance or its round-off floor: three points double
+    # their panels every level until the next level would pass the breadth cap, which
+    # then accepts the whole level; no integrand call holds more than the cap's nodes
+    rng = np.random.default_rng(20261020)
+    chart = (0.0, lambda u: (u, 1.0), lambda r: r)
+    value, err = measure_module.adaptive_gauss_legendre(
+        lambda s: rng.standard_normal(s.shape), [1.0], [2.0], [chart], [-1.0, 1j, -2.0 + 1j])
+    cap = 31 * measure_module._MAX_PANELS
+    assert integrand_calls.passes == 1 and len(integrand_calls) < 53
+    assert integrand_calls[-1] == max(integrand_calls) and cap < 2 * max(integrand_calls) <= 2 * cap
+    assert value.shape == err.shape == (3, 1) and np.all(np.isfinite(value)) and np.all(err > 0)
 
 
 # -- weighted integrals -------------------------------------------------------
@@ -355,7 +371,7 @@ def test_resolvent_complex_quad_oracle():
 @pytest.mark.parametrize("z", [3.0 + 1e-3j, 0.5 + 1e-4j])
 def test_resolvent_near_support_closed_form(paper_measure, z, integrand_calls):
     # integral dt / (pi sqrt(t) (t - z)) = (-z)**(-1/2); next to the pole the
-    # panels refine down to round-off, and the breadth cap ends the refinement
+    # panels refine down to their round-off floor
     value, _ = integrate_weighted(paper_measure, z)
     oracle = (-z) ** -0.5
     assert abs(value - oracle) <= 1e-12 * abs(oracle)
@@ -494,15 +510,16 @@ def test_graded_start_worked_example_closed_form(paper_measure, angle):
 
 
 @pytest.mark.parametrize("angle", [0.1, 0.3])
-def test_wide_resolvent_arrays_run_in_passes_of_20(paper_measure, angle, integrand_calls):
-    # one pass of all 400 points reached the breadth cap, counted over (panel, row) pairs,
-    # in a few levels: relative error 5.96 at angle 0.1 and 1.54 at 0.3, err short of it
+def test_a_wide_resolvent_array_is_one_quadrature_call(paper_measure, angle, integrand_calls):
+    # 400 points, each refining its own panels: when points shared panels, counted over
+    # (panel, point) pairs under the breadth cap, one call of them all read relative error
+    # 5.96 at angle 0.1 and 1.54 at 0.3, err short of it
     z = np.logspace(-8.0, 8.0, 400) * cmath.exp(1j * angle)
     value, err = integrate_weighted(paper_measure, z)
     oracle = (-z) ** -0.5
     assert np.all(np.abs(value - oracle) <= 1e-13 * np.abs(oracle))
     assert np.all(np.abs(value - oracle) <= err)
-    assert integrand_calls.passes == 20
+    assert integrand_calls.passes == 1
 
 
 _GRADED_Z = _kernels(cmath.rect(1e-4, 2.5), cmath.rect(1e-4, 0.6), cmath.rect(1e4, 0.6),
@@ -668,13 +685,54 @@ def test_non_finite_z_is_rejected_before_any_quadrature(paper_measure, bad,
 
 
 def test_resolvent_array_near_support_is_bounded(paper_measure, integrand_calls):
-    # 20 poles 1e-3 above the support: every row refines to round-off, and the
-    # breadth cap, counted over (panel, row) pairs, bounds each level's call
+    # 20 poles 1e-3 above the support: every point refines to its round-off floor, and
+    # the breadth cap, counted over panels, bounds each level's call
     z = np.linspace(0.2, 5.0, 20) + 1e-3j
     value, err = integrate_weighted(paper_measure, z)
     oracle = (-z) ** -0.5
     assert np.all(np.abs(value - oracle) <= 1e-12 * np.abs(oracle))
-    assert max(integrand_calls) * z.size <= 31 * measure_module._MAX_PANELS
+    assert max(integrand_calls) <= 31 * measure_module._MAX_PANELS
+
+
+def test_scalar_calls_near_the_support_stop_at_their_floor(paper_measure, integrand_calls):
+    # one point 1e-3 above the support refined to the breadth cap when only tol could
+    # accept a panel: up to 478 454 nodes in one level, 850 ms for these 20 calls
+    for x in np.linspace(0.2, 5.0, 20).tolist():
+        z = complex(x, 1e-3)
+        v = eval_V(StieltjesLikeFunction(paper_measure, 0.0), z)
+        assert abs(v - (-z) ** -0.5) <= 1e-12 * abs(v)
+    assert integrand_calls.passes == 20 and max(integrand_calls) <= 1000
+
+
+def test_a_near_support_array_is_covered_by_its_err(paper_measure):
+    # 51 points at angle 1e-3: with shared panels the breadth cap cut refinement short,
+    # relative error 1.15 with err short of it
+    z = np.logspace(-8.0, 8.0, 51) * cmath.exp(1e-3j)
+    value, err = integrate_weighted(paper_measure, z)
+    oracle = (-z) ** -0.5
+    assert np.all(np.abs(value - oracle) <= 1e-13 * np.abs(oracle))
+    assert np.all(np.abs(value - oracle) <= err)
+
+
+def test_an_array_equals_its_scalar_calls_bit_for_bit(paper_measure):
+    # points of every grading (radii 1e-8 to 1e8), next to the support, on the negative
+    # axis and at 0 (b, +inf here) and 1j: each gets what it gets alone
+    z = np.concatenate([np.logspace(-8.0, 8.0, 9) * cmath.exp(0.01j), [0.0, -1.0, 1j]])
+    for sigma in (paper_measure, _SHAPES["vanishing-power-law-and-table"]):
+        value, err = integrate_weighted(sigma, z)
+        one = np.array([integrate_weighted(sigma, zj) for zj in z.tolist()])
+        assert value.tolist() == one[:, 0].tolist() and err.tolist() == one[:, 1].real.tolist()
+
+
+@pytest.mark.parametrize("sigma, a", [
+    (SpectralMeasure(tail=Tail(1e-20, 1.0, 0.5)), math.pi - 2.0 * math.atan(1e-10)),
+    (SpectralMeasure(pieces=(PowerLawPiece(0.0, 1e40, 1.0, -0.5),)), math.pi),
+], ids=["tail-from-1e-20", "power-law-to-1e40"])
+def test_graded_start_reaches_the_point_scale(sigma, a):
+    # the kernel 1/(1+t) has its scale at u = 1e-10 of the root's width in both charts;
+    # graded only to 2**-6 of it, a read 0.194 (tail) and 1.2e-15 (power law), err short
+    mom = moments(sigma)
+    assert abs(mom.a - a) <= 1e-13 * a and abs(mom.a - a) <= mom.err_a
 
 
 def test_non_integrable_at_construction():
@@ -1050,8 +1108,8 @@ def test_the_workspace_is_per_thread(paper_measure):
 
 
 def test_the_workspace_is_bounded_by_the_breadth_cap(paper_measure):
-    # a near-support array refines to the breadth cap: the new thread's workspace holds
-    # its largest level, at most 31 (row, node) values per (row, panel) pair under the cap
+    # a near-support array: the new thread's workspace holds its largest level, at most
+    # 31 node values per panel under the breadth cap
     held = []
 
     def run():

@@ -167,6 +167,15 @@ def test_vh_infinite_b():
     assert report.cot_alpha == 0.5
 
 
+def test_vh_infinite_b_at_a_zero_is_a_pole():
+    # V_h(0) = -1/a has its pole at a = 0: None, as for 1 + ab = 0 at finite b, not a
+    # ZeroDivisionError
+    report = vh_functional(a=0.0, b=INF, gamma=1.0)
+    assert report.v_zero is None and report.accretivity_value is None
+    assert report.v_minus_inf == -1.0 and report.cot_alpha == 1.0
+    assert vh_functional(a=-1.0, b=1.0, gamma=0.5).v_zero is None
+
+
 def test_vh_matches_its_defining_functional():
     # cot(alpha) = (1 + Vh(0) Vh(-inf)) / |Vh(-inf) - Vh(0)| whenever the
     # boundary values are finite
