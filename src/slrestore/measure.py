@@ -14,8 +14,8 @@ The rest is breadth-first adaptive Gauss-Legendre quadrature on one root per pow
 u = sqrt(t)) and the tail (in u = sqrt(T/t)), one call for all points, each of which
 refines its own panels from Gauss-Jacobi origin panels graded to its scale.  Each point and
 root has the absolute tolerance QUAD_TOL before its prefactor (2c, or 2c T**(1-s) for the
-tail), or its round-off where that is larger; capped refinement ends silently, its error
-still counted.  Every part's error adds the one round-off rule: a few eps of each term,
+tail), or its round-off where that is larger; capped refinement (the breadth cap counts
+each point's panels) ends silently, its error still counted.  Every part's error adds the one round-off rule: a few eps of each term,
 sqrt(n) eps of a sum of n terms.
 """
 from __future__ import annotations
@@ -190,8 +190,9 @@ _NODES = np.concatenate([_NODES_HI, _NODES_LO])
 _WEIGHTS = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 _HI, _LO = slice(None, _NODES_HI.size), slice(_NODES_HI.size, None)
 
-#: Breadth cap: most panels one refinement level may hold, a bound on its memory (the
-#: workspace) only: the round-off floor ends refinement next to the support.
+#: Breadth cap: most panels one point may hold in a refinement level, a bound on its memory
+#: only (the round-off floor ends refinement next to the support).  Counted per point, it
+#: leaves each point's refinement the same however many points share the call.
 _MAX_PANELS = 1 << 14
 
 #: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
@@ -240,7 +241,7 @@ def _jacobi_rule(p: float):
 
 
 #: Each thread's workspace: one 1-D complex array that only grows, up to _WORKSPACE values
-#: (a level's nodes under the breadth cap); a larger level gets an array of its own.
+#: (one point's level under the breadth cap); a larger level gets an array of its own.
 #: Reused, a level allocates no (pair, node) array, so freeing one can no longer trim the
 #: heap that the next level then faults back in.
 _WORKSPACE = _NODES.size * _MAX_PANELS
@@ -258,13 +259,16 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
     pair.  Each level is one call f(s) on s = t - z at the 21- and 10-point Gauss-Legendre
     nodes of the open panels; s is a view of this thread's workspace that f may overwrite.
     A panel is accepted when its rule difference meets its share of QUAD_TOL or its
-    round-off, eps (t + |z|) |f| of each node's term (the conditioning of t - z); the depth
-    and breadth caps accept a whole level, its error still summed.  Sums per point and root
-    run right to left, each err plus the round-off of its panels; hi <= lo adds 0.
+    round-off: each node's term |w f| times the relative round-off of t - z,
+    eps (t + |z|) / |t - z|, which f keeps where it is as well conditioned as 1/s.  The
+    depth cap accepts a whole level, the breadth cap the open panels of a point over it,
+    their error still summed.  A point's panels, values and errors are thus the ones it
+    gets alone.  Sums per point and root run right to left, each err plus the round-off of
+    its panels; hi <= lo adds 0.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    width0, zabs = hi - lo, np.abs(z)
+    width0 = hi - lo
     # depth 0: each root's mesh is built once for the points that share its grading and
     # filled as one (point, panel, node) block; pair i is point pt[i] on panel g[i]
     mesh, pairs, blocks, m, n = [], [], [], 0, 0  # (root, a, b); (pt, g); (pairs, panels, z)
@@ -272,7 +276,7 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
         # halvings per point: the least k with u1 2**-k at or below its scale, at least
         # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
         grade = np.zeros(z.size, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
-            np.maximum(charts[j][2](zabs) / hi[j], math.ulp(0.0)))[1])
+            np.maximum(charts[j][2](np.abs(z)) / hi[j], math.ulp(0.0)))[1])
         for k in sorted(set(grade.tolist())):  # panels [0, u1 2**-k], ..., [u1/2, u1]
             at, b = (grade == k).nonzero()[0], hi[j] * 0.5 ** np.arange(k, -1, -1)
             mesh.append((np.full(b.size, j), np.concatenate((lo[j:j + 1], b[:-1])), b))
@@ -315,14 +319,16 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
         e = np.hypot((d := i_hi - i_lo).real, d.imag)
         split = ~(e <= (QUAD_TOL * ((b - a) / width0[root]))[g])
         if (open_ := split.nonzero()[0]).size:  # the round-off floor, where tol fails
-            # each node's term |w f| times its relative round-off eps (t + |z|) |f|
-            wf, r = np.abs(y[open_]), g[open_]
-            floor = _EPS * half[r] * (wf * wf / weights[r] * (t[r] + zabs[pt[open_], None])).sum(-1)
-            split[open_] = ~(e[open_] <= floor)
+            # each node's term |w f| times the relative round-off of s, eps (t + |z|) / |s|
+            r, zo = g[open_], z[pt[open_], None]
+            split[open_] = ~(e[open_] <= _EPS * half[r] * (np.abs(y[open_]) * (
+                t[r] + np.abs(zo)) / np.hypot(t[r] - zo.real, zo.imag)).sum(-1))
+        # depth and breadth caps accept open panels as they stand; their e still counts
+        if depth == _MAX_DEPTH:
+            split[...] = False
+        elif 2 * np.count_nonzero(split) > _MAX_PANELS:  # the points whose next level passes it
+            split &= 2 * np.bincount(pt[split], minlength=z.size)[pt] <= _MAX_PANELS
         n_bisect = np.count_nonzero(split)
-        # depth and breadth caps: accept the rest as they stand; their e still counts
-        if depth == _MAX_DEPTH or 2 * n_bisect > _MAX_PANELS:
-            split[...] = n_bisect = 0
         levels.append((pt[~split], *(x[g[~split]] for x in (root, a)), i_hi[~split], e[~split]))
         if not n_bisect:
             break
