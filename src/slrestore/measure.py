@@ -15,8 +15,8 @@ u = sqrt(t)) and the tail (in u = sqrt(T/t)), one call for all points, each of w
 refines its own panels from Gauss-Jacobi origin panels graded to its scale.  Each point and
 root has the absolute tolerance QUAD_TOL before its prefactor (2c, or 2c T**(1-s) for the
 tail), or its round-off where that is larger; capped refinement (the breadth cap counts
-each point's panels) ends silently, its error still counted.  Every part's error adds the one round-off rule: a few eps of each term,
-sqrt(n) eps of a sum of n terms.
+each point's panels) ends silently, its error still counted.  Every part's error adds the
+one round-off rule: a few eps of each term, sqrt(n) eps of a sum of n terms.
 """
 from __future__ import annotations
 
