@@ -321,8 +321,10 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
         if (open_ := split.nonzero()[0]).size:  # the round-off floor, where tol fails
             # each node's term |w f| times the relative round-off of s, eps (t + |z|) / |s|
             r, zo = g[open_], z[pt[open_], None]
-            split[open_] = ~(e[open_] <= _EPS * half[r] * (np.abs(y[open_]) * (
-                t[r] + np.abs(zo)) / np.hypot(t[r] - zo.real, zo.imag)).sum(-1))
+            floor = _EPS * half[r] * (np.abs(y[open_]) * (
+                t[r] + np.abs(zo)) / np.hypot(t[r] - zo.real, zo.imag)).sum(-1)
+            split[open_] = ~(e[open_] <= floor)
+            e[open_] = np.maximum(e[open_], floor)  # a panel the floor accepts charges it
         # depth and breadth caps accept open panels as they stand; their e still counts
         if depth == _MAX_DEPTH:
             split[...] = False

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,96 @@ def test_byte_identical_reruns(tmp_path):
     assert _run("moments", mjob, m1) == 0
     assert _run("moments", mjob, m2) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def _reference_csv(header, rows) -> bytes:
+    """CSV text written row by row, every cell by str."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]).encode()
+
+
+def _spy(monkeypatch, name):
+    """Patch cli.<name> to record each result; returns the list of results."""
+    results, real = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: results.append(real(*args)) or results[-1])
+    return results
+
+
+_SWEEP_HEADER = ["gamma", "h_re", "h_im", "mu", "alpha_rad", "accretive",
+                 "circle_residual", "eta_residual"]
+_LABELS = {"non_accretive": "none", "extremal": "extremal"}
+_CHUNK = cli.CSV_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("gamma_range, shows", [
+    ([0.0, 0.0, 1], [",inf,extremal,1,"]),  # gamma = 0: mu = inf
+    ([-1.0, -0.0, _CHUNK - 1], [",none,0,", "\n-0.0,"]),  # non-accretive, then -0.0
+    ([1.0, 1e4, _CHUNK], [",1,0.0,\n"]),  # sectorial; at large gamma eta is nan
+    ([-2.0, 2.0, _CHUNK + 1], [",none,0,", ",inf,extremal,", ",1,"]),  # all three kinds
+], ids=["1-row", "chunk-1", "chunk", "chunk+1"])
+def test_sweep_csv_equals_a_row_by_row_formatter(tmp_path, monkeypatch, gamma_range, shows):
+    swept = _spy(monkeypatch, "sweep")
+    job = _write_job(tmp_path, "job.json", {"measure": PAPER_MEASURE, "gamma_range": gamma_range,
+                                            "operator": SWEEP_OPERATOR})
+    out = tmp_path / "sweep.csv"
+    assert _run("sweep", job, out) == 0
+    rows = [[r.gamma, r.h.real, r.h.imag, r.mu,
+             _LABELS.get(r.sectoriality.kind, r.sectoriality.alpha), int(r.accretive),
+             r.circle_residual, "" if math.isnan(r.eta_residual) else r.eta_residual]
+            for r in swept[0]]
+    assert len(rows) == gamma_range[2]
+    text = out.read_bytes()
+    assert text == _reference_csv(_SWEEP_HEADER, rows)
+    assert all(s.encode() in text for s in shows)
+
+
+def test_weyl_csv_equals_a_row_by_row_formatter(tmp_path, monkeypatch):
+    computed = _spy(monkeypatch, "weyl_m")
+    # -0.0 and 0.0 share a column, and are distinct values to the formatter
+    lambdas = [[-4.0, -0.0], [-4.0, 0.0], [-0.0, 1.0]] + [[x, 1.0] for x in range(_CHUNK - 2)]
+    job = _write_job(tmp_path, "job.json", {"potential": ZERO_POTENTIAL, "lambdas": lambdas})
+    out = tmp_path / "weyl.csv"
+    assert _run("weyl", job, out) == 0
+    rows = [[float(x), float(y), m.real, m.imag,
+             10.0 * weyl.ODE_TOL * (1.0 + math.hypot(m.real, m.imag))]
+            for (x, y), m in zip(lambdas, computed)]
+    assert len(rows) == _CHUNK + 1
+    text = out.read_bytes()
+    assert text == _reference_csv(["lambda_re", "lambda_im", "m_re", "m_im", "err_est"], rows)
+    assert b"\n-4.0,-0.0," in text and b"\n-4.0,0.0," in text and b"\n-0.0,1.0," in text
+
+
+def test_a_sweep_job_peaks_at_a_few_times_its_columns(tmp_path, monkeypatch):
+    # the CSV is formatted a chunk of rows at a time; formatted whole (a str per cell, the
+    # text and its bytes at once) these 50 000 rows peaked at 9x the columns
+    swept = _spy(monkeypatch, "sweep")
+    job = {"measure": PAPER_MEASURE, "gamma_range": [-3.0, 3.0, 50_000],
+           "operator": SWEEP_OPERATOR}
+    warm = _write_job(tmp_path, "warm.json", dict(job, gamma_range=[-3.0, 3.0, 1]))
+    assert _run("sweep", warm, tmp_path / "warm.csv") == 0  # imports, the quadrature workspace
+    path = _write_job(tmp_path, "job.json", job)
+    tracemalloc.start()
+    try:
+        assert _run("sweep", path, tmp_path / "sweep.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(col.nbytes for col in vars(swept[-1]).values())
+    assert columns == 8 * 8 * 50_000
+    assert peak <= 4 * columns
+
+
+def test_a_failing_sweep_writes_no_file(tmp_path, monkeypatch):
+    # the CSV is written lazily, but the sweep runs before the output file is opened
+    def explode(*args):
+        raise OdeStepFailure("no sweep")
+
+    monkeypatch.setattr(cli, "sweep", explode)
+    job = _write_job(tmp_path, "job.json", {"measure": PAPER_MEASURE,
+                                            "gamma_range": [-2.0, 2.0, 9],
+                                            "operator": SWEEP_OPERATOR})
+    out = tmp_path / "sweep.csv"
+    assert _run("sweep", job, out) == 3
+    assert not out.exists()
 
 
 def test_measure_schema_round_trips_through_own_reader():

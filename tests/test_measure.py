@@ -730,6 +730,24 @@ def test_a_near_support_array_is_covered_by_its_err(paper_measure):
     assert np.all(np.abs(value - oracle) <= err)
 
 
+def test_err_covers_panels_the_round_off_floor_accepts():
+    # a root away from 0 (no graded start), points 1e-9 to 1e-5 above it: a panel that the
+    # floor accepted charged only its rule difference, and 30 of these 120 points read
+    # |error| > err, up to 5.8x; it now charges the floor
+    sigma = SpectralMeasure(pieces=(PowerLawPiece(0.5, 3.0, 1.0, -0.5),))
+    z = (np.linspace(0.55, 2.95, 40)[:, None] + 1j * np.array([1e-9, 1e-7, 1e-5])).ravel()
+    value, err = integrate_weighted(sigma, z)
+    with mpmath.workdps(50):  # int t**-0.5 / (t - z) dt = (log(u - s) - log(u + s)) / s
+        def antiderivative(t, s):
+            u = mpmath.sqrt(t)
+            return (mpmath.log(u - s) - mpmath.log(u + s)) / s
+
+        for zk, vk, ek in zip(z.tolist(), value.tolist(), err.tolist()):
+            s = mpmath.sqrt(mpmath.mpc(zk))
+            exact = complex(antiderivative(mpmath.mpf(3), s) - antiderivative(mpmath.mpf(0.5), s))
+            assert abs(vk - exact) <= ek, zk
+
+
 def test_a_wide_near_support_array_equals_its_scalar_calls(paper_measure):
     # 4000 points at angle 1e-3 keep about 12 000 panels open at depth 0: with the breadth
     # cap counted over all points that level was accepted unrefined (relative error 9.3,
