@@ -27,12 +27,10 @@ from .measure import (
 )
 from .pipeline import PipelineResult, run_restore, run_verify
 from .restore import (
-    Accretivity,
     Circle,
     Hyperbola,
     RestoredSystem,
     Sectoriality,
-    accretivity,
     gamma_admissible,
     h_locus,
     max_sectoriality,

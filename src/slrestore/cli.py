@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SlrestoreError, ValidationError
 from .measure import JsonField, classify, measure_from_json, moments
-from .pipeline import run_restore, run_verify
+from .pipeline import restoration_data, run_restore, run_verify
 from .restore import sweep
 from .stieltjes import log_polar_grid
 from .weyl import ODE_TOL, HalfLinePotential, OperatorData, WeylEvaluator, weyl_m
@@ -163,13 +163,11 @@ def _cmd_restore(job: JsonField) -> list:
     sigma = measure_from_json(job["measure"])
     gamma = job["gamma"].number()
     result = run_restore(sigma, gamma, operator=_operator(job), potential=_potential(job))
-    r = result.restored
+    r, s = result.restored, result.restored.sectoriality
     return _json_artifact({
         "h_re": r.h.real, "h_im": r.h.imag, "mu": _fmt(r.mu),
-        "gamma": r.gamma,
-        "alpha_rad": r.alpha if r.alpha is not None else None,
-        "accretive": r.accretive, "strict": r.strict,
-        "sectorial": r.sectorial, "extremal": r.extremal,
+        "gamma": r.gamma, "alpha_rad": s.alpha, "accretive": s.accretive, "strict": s.strict,
+        "sectorial": s.kind == "sectorial", "extremal": s.kind == "extremal",
         "class": result.class_tag.kind, "stieltjes": result.class_tag.stieltjes,
         "b": _fmt(result.moments.b),
         "theta": result.operator.theta, "m": result.operator.m,
@@ -180,10 +178,8 @@ def _cmd_restore(job: JsonField) -> list:
 def _cmd_sweep(job: JsonField) -> Iterator[bytes]:
     sigma = measure_from_json(job["measure"])
     gammas = _gammas(job)
-    mom = moments(sigma)
-    from .pipeline import resolve_operator_data
-
-    od = resolve_operator_data(mom, _operator(job), _potential(job))
+    # classified as for restore; the tag itself has no column (its Stieltjes flag is per gamma)
+    _, mom, od = restoration_data(sigma, gammas[0], _operator(job), _potential(job))
     s = sweep(mom.b, od.theta, od.m, od.xi, gammas)
     # the angle, or the label where none exists; no eta where it is undefined
     alpha = (s.alpha, [(s.sector == 1, "extremal"), (s.sector == 0, "none")])

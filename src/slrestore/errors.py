@@ -68,6 +68,10 @@ class ThetaMismatch(ValidationError):
     """The divergent-moment case forces theta = -m, but the input disagrees."""
 
 
+class RestorationOverflow(ValidationError):
+    """The (h, mu) formulas leave the float range for these inputs."""
+
+
 class OutOfRange(ValidationError):
     """Parameter outside the domain of the requested formula."""
 

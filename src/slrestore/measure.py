@@ -264,10 +264,16 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
     depth cap accepts a whole level, the breadth cap the open panels of a point over it,
     their error still summed.  A point's panels, values and errors are thus the ones it
     gets alone.  Sums per point and root run right to left, each err plus the round-off of
-    its panels; hi <= lo adds 0.
+    its panels; hi <= lo adds 0.  The points refine in consecutive chunks whose depth-0
+    nodes fit _WORKSPACE (at least one point each), so a wide z needs no more memory.
     """
     lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return _refine(f, lo, hi, charts, np.atleast_1d(np.asarray(z, dtype=complex)))
+
+
+def _refine(f, lo, hi, charts, z):
+    """adaptive_gauss_legendre on 1-D arrays; points whose depth-0 nodes overfill
+    _WORKSPACE split into two halves, each refined by a call of its own."""
     width0 = hi - lo
     # depth 0: each root's mesh is built once for the points that share its grading and
     # filled as one (point, panel, node) block; pair i is point pt[i] on panel g[i]
@@ -285,6 +291,9 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
                            z[at, None, None]))
     if not n:
         return (np.zeros((z.size, lo.size)),) * 2
+    if n * _NODES.size > _WORKSPACE and z.size > 1:
+        halves = [_refine(f, lo, hi, charts, half) for half in np.array_split(z, 2)]
+        return tuple(np.concatenate(x) for x in zip(*halves))
     (root, a, b), (pt, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
     levels = []  # accepted (point, root, left end, value, error) per depth level
     for depth in range(_MAX_DEPTH + 1):

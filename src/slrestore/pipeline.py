@@ -21,7 +21,8 @@ from .weyl import (
     weyl_m_at_minus_zero,
 )
 
-__all__ = ["PipelineResult", "resolve_operator_data", "run_restore", "run_verify"]
+__all__ = ["PipelineResult", "resolve_operator_data", "restoration_data", "run_restore",
+           "run_verify"]
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,21 @@ def resolve_operator_data(mom: Moments,
     return OperatorData(theta=theta, m=m, c=c, xi=xi)
 
 
+def restoration_data(sigma: SpectralMeasure, gamma: float,
+                     operator: Optional[OperatorData] = None,
+                     potential: Optional[HalfLinePotential] = None):
+    """(class tag, moments, operator data) behind every restoration from sigma: the
+    measure is classified first, so a measure outside SL0 raises NotSL0."""
+    class_tag = classify(sigma, gamma)
+    mom = moments(sigma)
+    return class_tag, mom, resolve_operator_data(mom, operator, potential)
+
+
 def run_restore(sigma: SpectralMeasure, gamma: float,
                 operator: Optional[OperatorData] = None,
                 potential: Optional[HalfLinePotential] = None) -> PipelineResult:
-    """Classify the input function and restore (h, mu) with all flags."""
-    class_tag = classify(sigma, gamma)
-    mom = moments(sigma)
-    od = resolve_operator_data(mom, operator, potential)
+    """Classify the input function and restore (h, mu) with its sectoriality."""
+    class_tag, mom, od = restoration_data(sigma, gamma, operator, potential)
     restored = restore_system(mom.b, gamma, od.theta, od.m, od.xi)
     return PipelineResult(restored, mom, od, class_tag)
 

@@ -1,11 +1,11 @@
-"""Inverse-problem core: accretivity, sectoriality, and the (h, mu) formulas.
+"""Inverse-problem core: sectoriality and the (h, mu) formulas.
 
 Everything here is exact algebra in the inputs (b, gamma, theta, m, xi).
 All of it reads one real pair (offset, numerator): (theta, (theta + m) b)
 for a finite 1/t moment b, and (-m, xi) for b = inf, where theta is forced
 to -m.  As gamma varies, h = offset + numerator (gamma + i)/(1 + gamma^2)
-traces a circle and mu = offset + numerator/gamma a hyperbola.  The flags
-read the sign of one quadratic, q = gamma^2 + b gamma + 1 (q = gamma for
+traces a circle and mu = offset + numerator/gamma a hyperbola.  The verdict
+reads the sign of one quadratic, q = gamma^2 + b gamma + 1 (q = gamma for
 b = inf).  The private helpers take gamma as a float or a numpy array, so
 ``sweep`` evaluates them over the whole sample at once.  Infinite values of
 b and mu are represented by ``math.inf``.
@@ -22,18 +22,16 @@ from .errors import (
     DegenerateImaginaryPart,
     MissingXi,
     OutOfRange,
+    RestorationOverflow,
     ThetaMismatch,
     ValidationError,
 )
 __all__ = [
-    "Accretivity",
     "Sectoriality",
     "Circle",
     "Hyperbola",
-    "SweepRow",
     "Sweep",
     "RestoredSystem",
-    "accretivity",
     "gamma_admissible",
     "sectoriality_angle",
     "max_sectoriality",
@@ -48,15 +46,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Accretivity:
-    accretive: bool
-    strict: bool
-
-
-@dataclass(frozen=True)
 class Sectoriality:
     kind: str  # "sectorial" | "extremal" | "non_accretive"
     alpha: Optional[float] = None  # radians, present iff sectorial
+
+    @property
+    def accretive(self) -> bool:
+        return self.kind != "non_accretive"
+
+    @property
+    def strict(self) -> bool:
+        """Strictly accretive: sectorial, with an angle."""
+        return self.kind == "sectorial"
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,18 @@ class Hyperbola:
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class RestoredSystem:
+    """The system restored at gamma: h (Im h > 0: _h raises first), mu and the verdict."""
+
     gamma: float
     h: complex
-    mu: float
+    mu: float  # math.inf allowed
     sectoriality: Sectoriality
-    accretive: bool
-    strict: bool
-    circle_residual: float
-    eta_residual: float
 
 
 @dataclass(frozen=True, eq=False)
 class Sweep:
-    """Numpy columns of a sweep, sorted by gamma; iterating yields SweepRows.
+    """Numpy columns of a sweep, sorted by gamma; iterating yields RestoredSystems.
 
     ``sector`` is 0 (non-accretive), 1 (extremal) or 2 (sectorial, the only rows
     where ``alpha`` is an angle)."""
@@ -110,24 +109,9 @@ class Sweep:
         return self.gamma.size
 
     def __iter__(self):
-        for gamma, hx, hy, u, k, a, c, e in zip(*(col.tolist() for col in vars(self).values())):
-            yield SweepRow(gamma=gamma, h=complex(hx, hy), mu=u,
-                           sectoriality=_sectoriality(k, a), accretive=k > 0,
-                           strict=k == 2, circle_residual=c, eta_residual=e)
-
-
-@dataclass(frozen=True)
-class RestoredSystem:
-    """Restored h (Im h > 0: _h raises first), extension parameter mu, and flags."""
-
-    h: complex
-    mu: float  # math.inf allowed
-    gamma: float
-    accretive: bool
-    strict: bool
-    sectorial: bool
-    extremal: bool
-    alpha: Optional[float]
+        columns = (self.gamma, self.h_re, self.h_im, self.mu, self.sector, self.alpha)
+        for gamma, hx, hy, u, k, a in zip(*(col.tolist() for col in columns)):
+            yield RestoredSystem(gamma, complex(hx, hy), u, _sectoriality(k, a))
 
 
 _KINDS = ("non_accretive", "extremal", "sectorial")  # indexed by sector rank
@@ -160,6 +144,8 @@ def _pair(b: float, theta: float, m: float, xi: Optional[float]):
         raise DegenerateImaginaryPart(
             f"{name} = {numerator} must be > 0 for Im h > 0"
         )
+    if math.isinf(numerator):
+        raise RestorationOverflow(f"{name} = {numerator} is out of float range")
     return offset, numerator
 
 
@@ -180,16 +166,13 @@ def _sectoriality(rank: int, alpha: float) -> Sectoriality:
 
 
 def _h(offset: float, numerator: float, g):
-    """(Re h, Im h) at gamma (a float or an array); Im h must not underflow."""
+    """(Re h, Im h) at gamma (a float or an array); Im h must not underflow and Re h
+    must not overflow (Im h is at most the numerator, which _pair keeps finite)."""
     with np.errstate(all="ignore"):
         s = 1.0 + g * g
-    x, y = offset + g * numerator / s, numerator / s
-    ok = np.atleast_1d(y > 0.0)
-    if not ok.all():
-        bad = float(np.atleast_1d(g)[~ok][0])
-        raise DegenerateImaginaryPart(
-            f"Im h = {numerator}/(1 + gamma^2) is not > 0 at gamma={bad!r}"
-        )
+        x, y = offset + g * numerator / s, numerator / s
+    _refuse(y > 0.0, g, DegenerateImaginaryPart, f"Im h = {numerator}/(1 + gamma^2) is not > 0")
+    _refuse(np.isfinite(x), g, RestorationOverflow, "Re h is out of float range")
     return x, y
 
 
@@ -197,6 +180,12 @@ def _mu(x, y, g):
     """mu = Re h + Im h / gamma, infinite where gamma = 0."""
     with np.errstate(all="ignore"):
         return np.where(g == 0.0, math.inf, x + np.divide(y, g))
+
+
+def _refuse(ok, g, error, what: str) -> None:
+    """Raise error, naming the first gamma (a float or an array) where ok fails."""
+    if not (ok := np.atleast_1d(ok)).all():
+        raise error(f"{what} at gamma={float(np.atleast_1d(g)[~ok][0])!r}")
 
 
 def _eta(x, y, mu):
@@ -212,12 +201,6 @@ def _row(b: float, theta: float, m: float, xi: Optional[float], g):
     offset, numerator = _pair(b, theta, m, xi)
     x, y = _h(offset, numerator, g)
     return (offset, numerator, x, y, _mu(x, y, g)) + _sector(b, g)
-
-
-def accretivity(b: float, gamma: float) -> Accretivity:
-    """Accretivity of the restored operator from b and the free term."""
-    rank, _ = _sector(b, float(gamma))
-    return Accretivity(accretive=rank > 0, strict=rank == 2)
 
 
 def gamma_admissible(b: float):
@@ -306,8 +289,6 @@ def sweep(b: float, theta: float, m: float, xi: Optional[float],
 
 def restore_system(b: float, gamma: float, theta: float, m: float,
                    xi: Optional[float] = None) -> RestoredSystem:
-    """Full restoration: h, mu and the accretivity/sectoriality flags."""
+    """Full restoration at one gamma: h, mu and the sectoriality verdict."""
     _, _, x, y, mu, rank, alpha = _row(b, theta, m, xi, float(gamma))
-    return RestoredSystem(h=complex(x, y), mu=float(mu), gamma=gamma, accretive=rank > 0,
-                          strict=rank == 2, sectorial=rank == 2, extremal=rank == 1,
-                          alpha=_sectoriality(rank, alpha).alpha)
+    return RestoredSystem(gamma, complex(x, y), float(mu), _sectoriality(rank, alpha))

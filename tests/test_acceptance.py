@@ -14,7 +14,6 @@ import pytest
 from slrestore.measure import moments
 from slrestore.pipeline import resolve_operator_data, run_restore, run_verify
 from slrestore.restore import (
-    accretivity,
     gamma_admissible,
     h_locus,
     quasi_kernel_eta,
@@ -54,7 +53,7 @@ def test_criterion_1_paper_example_end_to_end(paper_measure, zero_potential):
     elapsed = time.perf_counter() - start
     ok = (abs(result.restored.h - 1j) < 1e-4
           and result.restored.mu == INF
-          and result.restored.extremal
+          and result.restored.sectoriality.kind == "extremal"
           and abs(result.moments.i2 - 1.0 / SQRT2) < 1e-8
           and result.operator.c == 1.0 / SQRT2
           and abs(result.operator.xi - 1.0) < 1e-8
@@ -101,8 +100,8 @@ def test_criterion_4_accretivity_boundary(b2_oracle_measure):
     ok = ok and abs(quad) < 1e-12
     ok = ok and sectoriality_angle(mom.b, -1.0).kind == "extremal"
     ok = ok and gamma_admissible(2.0) == [(-INF, -1.0), (-1.0, INF)]
-    strict_flags = [accretivity(mom.b, g).strict for g in (-0.99, -1.0, -1.01)]
-    acc_flags = [accretivity(mom.b, g).accretive for g in (-0.99, -1.0, -1.01)]
+    strict_flags = [sectoriality_angle(mom.b, g).strict for g in (-0.99, -1.0, -1.01)]
+    acc_flags = [sectoriality_angle(mom.b, g).accretive for g in (-0.99, -1.0, -1.01)]
     ok = ok and strict_flags == [True, False, True] and acc_flags == [True] * 3
     _report(4, "accretivity boundary at gamma = -1, b = 2", ok)
 

@@ -82,6 +82,9 @@ def test_tracer_expected_spans_fire_quad_sweep(tmp_path):
                          "gamma": 0.5, "operator": OPERATOR})]
     expected, fired = _fired_spans(tmp_path, jobs)
     assert expected["quad-sweep"] - fired == set()
+    # a sweep alone classifies its measure, as restore does
+    _, fired = _fired_spans(tmp_path, jobs[:1])
+    assert {"measure.classify", "pipeline.resolve_operator_data", "restore.sweep"} <= fired
 
 
 def test_benchmark_selftest_passes_but_for_the_verify_ode_span():

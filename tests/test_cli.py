@@ -168,10 +168,11 @@ def test_sweep_csv_equals_a_row_by_row_formatter(tmp_path, monkeypatch, gamma_ra
                                             "operator": SWEEP_OPERATOR})
     out = tmp_path / "sweep.csv"
     assert _run("sweep", job, out) == 0
+    s = swept[0]
     rows = [[r.gamma, r.h.real, r.h.imag, r.mu,
-             _LABELS.get(r.sectoriality.kind, r.sectoriality.alpha), int(r.accretive),
-             r.circle_residual, "" if math.isnan(r.eta_residual) else r.eta_residual]
-            for r in swept[0]]
+             _LABELS.get(r.sectoriality.kind, r.sectoriality.alpha), int(r.sectoriality.accretive),
+             c, "" if math.isnan(e) else e]
+            for r, c, e in zip(s, s.circle_residual.tolist(), s.eta_residual.tolist())]
     assert len(rows) == gamma_range[2]
     text = out.read_bytes()
     assert text == _reference_csv(_SWEEP_HEADER, rows)
@@ -301,6 +302,11 @@ def test_verification_failure_exit_4(tmp_path):
 
 
 SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
+# b = 4: 2 from the piece, 2 from the tail
+FINITE_B_MEASURE = {
+    "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5}],
+    "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}, "infinite_mass": True}
+HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
 
 
 @pytest.mark.parametrize("command, job, message", [
@@ -373,6 +379,19 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
      "operator.xi: non-finite number nan"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, math.nan, 5],
                "operator": SWEEP_OPERATOR}, "gamma_range[1]: non-finite number nan"),
+    # sweep classifies its measure as restore does
+    ("sweep", {"measure": dict(PAPER_MEASURE, infinite_mass=False), "gamma_range": [0.0, 1.0, 3],
+               "operator": SWEEP_OPERATOR}, "NotSL0: infinite total mass not declared"),
+    # (theta + m) b overflows, or gamma times it does: no NaN or inf reaches an artifact
+    ("restore", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "operator": HUGE_OPERATOR},
+     "RestorationOverflow: (theta + m) * b = inf"),
+    ("restore", {"measure": FINITE_B_MEASURE, "gamma": 1e154,
+                 "operator": {"theta": 1e160, "m": 0.0}},
+     "RestorationOverflow: Re h is out of float range at gamma=1e+154"),
+    ("sweep", {"measure": FINITE_B_MEASURE, "gamma_range": [-1.0, 1.0, 3],
+               "operator": HUGE_OPERATOR}, "RestorationOverflow: (theta + m) * b = inf"),
+    ("verify", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
+                "operator": HUGE_OPERATOR}, "RestorationOverflow: (theta + m) * b = inf"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
@@ -380,7 +399,9 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
         "gamma-int-overflow", "table-no-knots", "weyl-lambdas-empty",
         "tolerances-object", "tolerances-number", "tolerances-null",
         "infinite-mass-str", "infinite-mass-frac", "infinite-mass-int", "tail-T-nan",
-        "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan"])
+        "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan",
+        "sweep-not-sl0", "restore-numerator-overflow", "restore-re-h-overflow",
+        "sweep-numerator-overflow", "verify-numerator-overflow"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here

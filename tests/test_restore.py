@@ -1,4 +1,4 @@
-"""Tests for accretivity, sectoriality and the (h, mu) restoration algebra."""
+"""Tests for sectoriality and the (h, mu) restoration algebra."""
 from __future__ import annotations
 
 import math
@@ -17,7 +17,7 @@ from slrestore.errors import (
     ValidationError,
 )
 from slrestore.restore import (
-    accretivity,
+    Sectoriality,
     gamma_admissible,
     h_locus,
     max_sectoriality,
@@ -36,26 +36,26 @@ INF = math.inf
 # -- accretivity --------------------------------------------------------------
 
 def test_accretivity_extremal_boundary():
-    acc = accretivity(2.0, -1.0)
+    acc = sectoriality_angle(2.0, -1.0)
     assert acc.accretive and not acc.strict
 
 
 def test_accretivity_b1_everywhere():
     for gamma in np.linspace(-5.0, 5.0, 21):
-        acc = accretivity(1.0, float(gamma))
+        acc = sectoriality_angle(1.0, float(gamma))
         assert acc.accretive and acc.strict
 
 
 def test_accretivity_b_infinite():
-    assert not accretivity(INF, -0.1).accretive
-    acc0 = accretivity(INF, 0.0)
+    assert not sectoriality_angle(INF, -0.1).accretive
+    acc0 = sectoriality_angle(INF, 0.0)
     assert acc0.accretive and not acc0.strict
-    assert accretivity(INF, 0.5).strict
+    assert sectoriality_angle(INF, 0.5).strict
 
 
 def test_accretivity_rejects_nonpositive_b():
     with pytest.raises(OutOfRange):
-        accretivity(0.0, 1.0)
+        sectoriality_angle(0.0, 1.0)
 
 
 # -- admissible gamma ---------------------------------------------------------
@@ -233,8 +233,8 @@ def test_sweep_remark_fixture():
     gammas = np.linspace(0.1, 10.0, 100)
     rows = sweep(INF, theta=0.0, m=0.0, xi=1.0, gammas=gammas)
     assert len(rows) == 100
-    assert max(r.circle_residual for r in rows) < 1e-12
-    assert max(r.eta_residual for r in rows) < 1e-10
+    assert rows.circle_residual.max() < 1e-12
+    assert rows.eta_residual.max() < 1e-10
     assert all(a.gamma < b.gamma for a, b in zip(rows, list(rows)[1:]))
 
 
@@ -242,7 +242,7 @@ def test_sweep_contains_extremal_row():
     rows = sweep(2.0, theta=0.3, m=0.2, xi=None, gammas=[-2.0, -1.0, 0.0, 1.0])
     flagged = [r for r in rows if r.gamma == -1.0]
     assert flagged[0].sectoriality.kind == "extremal"
-    assert flagged[0].accretive and not flagged[0].strict
+    assert flagged[0].sectoriality.accretive and not flagged[0].sectoriality.strict
 
 
 def test_sweep_empty():
@@ -255,16 +255,16 @@ def test_sweep_columns_match_the_rows():
     for i, row in enumerate(s):
         assert row.h == complex(s.h_re[i], s.h_im[i]) and row.mu == s.mu[i]
         assert row.sectoriality.kind == ("non_accretive", "extremal", "sectorial")[s.sector[i]]
-        assert row.circle_residual == s.circle_residual[i]
+        assert row.sectoriality.alpha == (s.alpha[i] if s.sector[i] == 2 else None)
 
 
 # -- assembled system ---------------------------------------------------------
 
 def test_restore_system_paper_flags():
     rs = restore_system(INF, 0.0, theta=0.0, m=0.0, xi=1.0)
-    assert rs.h == 1j and rs.mu == INF
-    assert rs.accretive and not rs.strict
-    assert rs.extremal and not rs.sectorial and rs.alpha is None
+    assert rs.h == 1j and rs.mu == INF and rs.gamma == 0.0
+    assert rs.sectoriality.accretive and not rs.sectoriality.strict
+    assert rs.sectoriality == Sectoriality("extremal")
 
 
 # -- property-based identities ------------------------------------------------
@@ -348,7 +348,7 @@ def test_prop_angle_identity(p):
 @given(finite_params)
 def test_prop_accretive_half_plane(p):
     b, theta, m, gamma = p
-    if not accretivity(b, gamma).accretive:
+    if not sectoriality_angle(b, gamma).accretive:
         return
     h = restore_h(b, gamma, theta, m)
     assert h.real >= -m - 1e-12 * (1.0 + abs(h))
@@ -371,10 +371,7 @@ def test_prop_sweep_matches_scalar_path(p, gammas, rnd):
     shuffled = list(gammas)
     rnd.shuffle(shuffled)
 
-    def key(r):
-        return r.gamma, r.h, r.mu, r.accretive, r.strict, r.sectoriality.kind
-
-    assert [key(r) for r in sweep(b, theta, m, xi, shuffled)] == [key(r) for r in rows]
+    assert list(sweep(b, theta, m, xi, shuffled)) == list(rows)
     # reference: the closed forms evaluated one gamma at a time in Python floats
     offset, numerator = (theta, (theta + m) * b) if xi is None else (-m, xi)
     for row in rows:
@@ -383,10 +380,8 @@ def test_prop_sweep_matches_scalar_path(p, gammas, rnd):
         assert row.h == complex(offset + g * numerator / s, numerator / s)
         assert row.mu == (INF if g == 0.0 else row.h.real + row.h.imag / g)
         q = g if xi is not None else g * g + g * b + 1.0
-        assert (row.accretive, row.strict) == (q >= 0.0, q > 0.0)
-        rs = restore_system(b, row.gamma, theta, m, xi)
-        assert row.h == rs.h == restore_h(b, row.gamma, theta, m, xi)
-        assert row.mu == rs.mu == restore_mu(row.h, row.gamma)
-        assert (row.accretive, row.strict) == (rs.accretive, rs.strict)
-        assert (row.sectoriality.kind == "extremal") == rs.extremal
-        assert row.sectoriality.kind == sectoriality_angle(b, row.gamma).kind
+        assert (row.sectoriality.accretive, row.sectoriality.strict) == (q >= 0.0, q > 0.0)
+        assert row == restore_system(b, row.gamma, theta, m, xi)
+        assert row.h == restore_h(b, row.gamma, theta, m, xi)
+        assert row.mu == restore_mu(row.h, row.gamma)
+        assert row.sectoriality == sectoriality_angle(b, row.gamma)
