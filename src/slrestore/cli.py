@@ -126,8 +126,8 @@ def _operator(job: JsonField) -> Optional[OperatorData]:
     node = job.get("operator")
     if node.value is None:
         return None
-    m = node["m"].number()  # the rest may be derived
-    return OperatorData(theta=node.get("theta", -m).number(), m=m,
+    return OperatorData(theta=node.get("theta").number(optional=True),
+                        m=node["m"].number(),  # the rest may be derived
                         c=node.get("c").number(optional=True),
                         xi=node.get("xi").number(optional=True))
 

@@ -36,29 +36,27 @@ class PipelineResult:
 def resolve_operator_data(mom: Moments,
                           operator: Optional[OperatorData] = None,
                           potential: Optional[HalfLinePotential] = None) -> OperatorData:
-    """Fill in (theta, m, c, xi) from explicit data and/or a potential.
+    """Fill in only what the explicit data leaves out of (theta, m, c, xi).
 
-    For b = inf, theta is forced to -m and xi = i2/c; c comes from the
-    explicit data or, for q = 0, from the closed form.  For finite b, theta
-    must be supplied explicitly (it is not derivable from the potential).
-    Both are settled before m = m_inf(-0) is derived, so a potential yields m
-    only for q = 0, where it is a closed form.
+    For b = inf, an absent theta is -m (a given one must equal -m: restore's
+    ThetaMismatch) and an absent xi is i2/c, with c from the data or, for q = 0,
+    the closed form.  For finite b, theta must be given.  theta and c are
+    settled before m = m_inf(-0) is derived, so a potential yields m only for
+    q = 0, where it is a closed form.
     """
-    if operator is None and potential is None:
-        raise ValidationError("operator data or a potential is required")
     b_infinite = math.isinf(mom.b)
-    if operator is None and not b_infinite:
-        raise ValidationError("finite 1/t moment: theta must be given explicitly")
     theta, m, c, xi = (None,) * 4 if operator is None else (
         operator.theta, operator.m, operator.c, operator.xi)
+    if theta is None and not b_infinite:
+        raise ValidationError("finite 1/t moment: theta must be given explicitly")
     if b_infinite and xi is None and c is None:
         if potential is None:
             raise ValidationError("b = inf needs xi or c (or a q = 0 potential)")
         c = boundary_trace_constant(potential)
     if m is None:
         m = float(weyl_m_at_minus_zero(WeylEvaluator(potential=potential)))
-    if b_infinite:
-        theta = -m
+    if b_infinite:  # the one default of theta
+        theta = -m if theta is None else theta
         xi = mom.i2 / c if xi is None else xi
     return OperatorData(theta=theta, m=m, c=c, xi=xi)
 

@@ -2,12 +2,12 @@
 
 Everything here is exact algebra in the inputs (b, gamma, theta, m, xi).
 All of it reads one real pair (offset, numerator): (theta, (theta + m) b)
-for a finite 1/t moment b, and (-m, xi) for b = inf, where theta is forced
-to -m.  As gamma varies, h = offset + numerator (gamma + i)/(1 + gamma^2)
-traces a circle and mu = offset + numerator/gamma a hyperbola.  The verdict
-reads the sign of one quadratic, q = gamma^2 + b gamma + 1 (q = gamma for
-b = inf).  The private helpers take gamma as a float or a numpy array, so
-``sweep`` evaluates them over the whole sample at once.  Infinite values of
+for a finite 1/t moment b, and (-m, xi) for b = inf, where theta must equal
+-m.  As gamma varies, Im h = numerator/(1 + gamma^2) and Re h = offset +
+gamma Im h trace a circle and mu = offset + numerator/gamma a hyperbola.
+The verdict reads the sign of one quadratic, q = gamma^2 + b gamma + 1
+(q = gamma for b = inf).  The private helpers take gamma as a float or a
+numpy array, so ``sweep`` evaluates them over the whole sample at once.  Infinite values of
 b and mu are represented by ``math.inf``.
 """
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .errors import (
     ThetaMismatch,
     ValidationError,
 )
+from .weyl import THETA_RTOL
+
 __all__ = [
     "Sectoriality",
     "Circle",
@@ -85,7 +87,7 @@ class RestoredSystem:
 
     gamma: float
     h: complex
-    mu: float  # math.inf allowed
+    mu: float  # math.inf exactly when gamma = 0
     sectoriality: Sectoriality
 
 
@@ -128,12 +130,12 @@ def _pair(b: float, theta: float, m: float, xi: Optional[float]):
     """(offset, numerator) with h = offset + numerator (gamma + i)/(1 + gamma^2).
 
     The pair is (theta, (theta + m) b) for finite b and (-m, xi) for b = inf,
-    where theta is forced to -m.  mu = offset + numerator/gamma follows.
+    where theta = -m is checked (ThetaMismatch).  mu = offset + numerator/gamma.
     """
     if _b_infinite(b):
         if xi is None:
             raise MissingXi("b = inf restoration requires xi = i2/c")
-        if abs(theta + m) > 1e-8 * (1.0 + abs(m)):
+        if abs(theta + m) > THETA_RTOL * (1.0 + abs(m)):
             raise ThetaMismatch(
                 f"b = inf forces theta = -m, got theta={theta}, m={m}"
             )
@@ -166,20 +168,22 @@ def _sectoriality(rank: int, alpha: float) -> Sectoriality:
 
 
 def _h(offset: float, numerator: float, g):
-    """(Re h, Im h) at gamma (a float or an array); Im h must not underflow and Re h
-    must not overflow (Im h is at most the numerator, which _pair keeps finite)."""
+    """(offset + gamma Im h, Im h = numerator/(1 + gamma^2)) at gamma (a float or an
+    array); Im h must not underflow and Re h must not overflow (|gamma Im h| <= numerator/2)."""
     with np.errstate(all="ignore"):
-        s = 1.0 + g * g
-        x, y = offset + g * numerator / s, numerator / s
+        y = numerator / (1.0 + g * g)
+        x = offset + g * y
     _refuse(y > 0.0, g, DegenerateImaginaryPart, f"Im h = {numerator}/(1 + gamma^2) is not > 0")
     _refuse(np.isfinite(x), g, RestorationOverflow, "Re h is out of float range")
     return x, y
 
 
 def _mu(x, y, g):
-    """mu = Re h + Im h / gamma, infinite where gamma = 0."""
+    """mu = Re h + Im h / gamma, infinite where gamma = 0 and finite elsewhere."""
     with np.errstate(all="ignore"):
-        return np.where(g == 0.0, math.inf, x + np.divide(y, g))
+        mu = np.where(g == 0.0, math.inf, x + np.divide(y, g))
+    _refuse(np.isfinite(mu) | (g == 0.0), g, RestorationOverflow, "mu is out of float range")
+    return mu
 
 
 def _refuse(ok, g, error, what: str) -> None:

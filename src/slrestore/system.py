@@ -202,12 +202,9 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
     sample_z = [complex(z) for z in sample_z]
     if not sample_z:
         raise ValidationError("verify_realization: no sample points")
-    samples = []
-    worst = 0.0
-    for z, v_in in zip(sample_z, eval_V(f, sample_z).tolist()):
-        v_model = impedance_V(p, z)
-        samples.append(SampleResidual(z=z, v_in=v_in, v_model=v_model))
-        worst = max(worst, abs(v_model - v_in))
+    samples = tuple(SampleResidual(z=z, v_in=v_in, v_model=impedance_V(p, z))
+                    for z, v_in in zip(sample_z, eval_V(f, sample_z).tolist()))
+    worst = max(s.residual for s in samples)
     eta_res = None
     if p.theta_expected is not None:
         eta = quasi_kernel_eta(p.h, p.mu)
@@ -215,4 +212,4 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
             eta_res = abs(eta - p.theta_expected)
     passed = worst <= VERIFY_TOL and (eta_res is None or eta_res <= VERIFY_TOL)
     return VerifyReport(max_residual=worst, eta_residual=eta_res,
-                        samples=tuple(samples), passed=passed)
+                        samples=samples, passed=passed)

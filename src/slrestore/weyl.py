@@ -49,6 +49,10 @@ __all__ = [
 #: Relative tolerance of every ODE propagation (table m_inf and solve_cauchy).
 ODE_TOL = 1e-10
 
+#: Relative tolerance, times 1 + |m|, of theta = -m (restore's ThetaMismatch at b = inf)
+#: and of theta >= -m (OperatorData).
+THETA_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class HalfLinePotential:
@@ -87,10 +91,10 @@ class OperatorData:
     """Boundary data consumed by the restoration pipeline.
 
     theta is the quasi-kernel boundary parameter, m = m_inf(-0), c the
-    boundary-trace constant and xi = i2/c when both are known.
+    boundary-trace constant and xi = i2/c; None marks a value left out.
     """
 
-    theta: float
+    theta: Optional[float]
     m: float
     c: Optional[float] = None
     xi: Optional[float] = None
@@ -100,7 +104,7 @@ class OperatorData:
             x = getattr(self, name)
             if x is not None and not math.isfinite(x):
                 raise ValidationError(f"operator data: {name} must be finite, got {x}")
-        if self.theta < -self.m - 1e-12:
+        if self.theta is not None and self.theta + self.m < -THETA_RTOL * (1.0 + abs(self.m)):
             raise ValidationError(
                 f"theta={self.theta} < -m={-self.m}: the associated self-adjoint "
                 "extension would not be nonnegative"

@@ -72,6 +72,31 @@ def test_restore_job_paper_example(tmp_path):
     assert payload["class"] == "SL0K"
 
 
+def test_restore_theta_left_out_at_b_inf_is_minus_m(tmp_path):
+    # the same artifact as with theta given as -m
+    artifacts = []
+    for name, operator in (("absent", {"m": 0.3, "c": 0.7}),
+                           ("given", {"theta": -0.3, "m": 0.3, "c": 0.7})):
+        job = _write_job(tmp_path, f"{name}.json",
+                         {"measure": PAPER_MEASURE, "gamma": 0.5, "operator": operator})
+        out = tmp_path / f"{name}.out"
+        assert _run("restore", job, out) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
+    assert json.loads(artifacts[0])["theta"] == -0.3
+
+
+def test_restore_re_h_near_the_float_range(tmp_path):
+    # Re h = 1e160 + 4e6: gamma * (theta + m) b = 4e314 is never formed
+    job = _write_job(tmp_path, "job.json",
+                     {"measure": FINITE_B_MEASURE, "gamma": 1e154,
+                      "operator": {"theta": 1e160, "m": 0.0}})
+    out = tmp_path / "restore.json"
+    assert _run("restore", job, out) == 0
+    payload = json.loads(out.read_text())
+    assert payload["h_re"] == 1e160 and payload["theta"] == 1e160
+
+
 def test_sweep_job_circle(tmp_path):
     job = _write_job(tmp_path, "job.json",
                      {"measure": PAPER_MEASURE,
@@ -244,17 +269,20 @@ def test_malformed_json_exit_2_no_output(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    b'{"gamma": 1' + b"0" * 5000 + b"}",  # int beyond the 4300-digit str limit
-    b'{"gamma": "\xff"}',  # not UTF-8
-], ids=["int-5001-digits", "not-utf8"])
-def test_unreadable_job_json_exit_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    (b'{"gamma": 1' + b"0" * 5000 + b"}", "malformed job JSON"),  # int past 4300 digits
+    (b'{"gamma": "\xff"}', "malformed job JSON"),  # not UTF-8
+    (None, "cannot read job file"),  # no such file
+    (b"[1, 2]", "job file must contain a JSON object"),
+], ids=["int-5001-digits", "not-utf8", "no-file", "json-array"])
+def test_unreadable_job_json_exit_2(tmp_path, capsys, text, message):
     job = tmp_path / "bad.json"
-    job.write_bytes(text)
+    if text is not None:
+        job.write_bytes(text)
     out = tmp_path / "out.json"
     assert _run("classify", str(job), out) == 2
     assert not out.exists()
-    assert "malformed job JSON" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_command_mismatch_exit_2(tmp_path):
@@ -287,6 +315,17 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
                      {"measure": PAPER_MEASURE, "gamma": 0.0,
                       "potential": ZERO_POTENTIAL})
     assert _run("restore", job, tmp_path / "out.json") == 3
+
+
+def test_impedance_pole_exit_3(tmp_path, capsys):
+    # c = 1e-300 gives xi = i2/c ~ 7e299, so |h|^2 and the impedance leave the float range
+    job = _write_job(tmp_path, "job.json",
+                     {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
+                      "operator": {"m": 0.0, "c": 1e-300}})
+    out = tmp_path / "verify.json"
+    assert _run("verify", job, out) == 3
+    assert not out.exists()
+    assert "PoleOfV" in capsys.readouterr().err
 
 
 def test_verification_failure_exit_4(tmp_path):
@@ -382,16 +421,31 @@ HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
     # sweep classifies its measure as restore does
     ("sweep", {"measure": dict(PAPER_MEASURE, infinite_mass=False), "gamma_range": [0.0, 1.0, 3],
                "operator": SWEEP_OPERATOR}, "NotSL0: infinite total mass not declared"),
-    # (theta + m) b overflows, or gamma times it does: no NaN or inf reaches an artifact
+    # (theta + m) b, Re h or mu overflows: no NaN or inf reaches an artifact
     ("restore", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "operator": HUGE_OPERATOR},
      "RestorationOverflow: (theta + m) * b = inf"),
-    ("restore", {"measure": FINITE_B_MEASURE, "gamma": 1e154,
-                 "operator": {"theta": 1e160, "m": 0.0}},
-     "RestorationOverflow: Re h is out of float range at gamma=1e+154"),
+    ("restore", {"measure": FINITE_B_MEASURE, "gamma": 1.0,
+                 "operator": {"theta": 1.7e308, "m": -1.6e308}},
+     "RestorationOverflow: Re h is out of float range at gamma=1.0"),
     ("sweep", {"measure": FINITE_B_MEASURE, "gamma_range": [-1.0, 1.0, 3],
                "operator": HUGE_OPERATOR}, "RestorationOverflow: (theta + m) * b = inf"),
     ("verify", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
                 "operator": HUGE_OPERATOR}, "RestorationOverflow: (theta + m) * b = inf"),
+    # mu = inf only at gamma = 0
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 1e-310, "potential": ZERO_POTENTIAL},
+     "RestorationOverflow: mu is out of float range at gamma=1e-310"),
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [-1e-310, 1e-310, 3],
+               "potential": ZERO_POTENTIAL},
+     "RestorationOverflow: mu is out of float range at gamma=-1e-310"),
+    # a given theta is never overwritten: at b = inf it must equal -m
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                 "operator": {"theta": 5.0, "m": 0.0, "c": 0.7}}, "ThetaMismatch"),
+    ("restore", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "operator": {"m": 0.0}},
+     "finite 1/t moment: theta must be given explicitly"),
+    ("restore", {"measure": PAPER_MEASURE, "gamma": 0.0, "operator": {"m": 0.0}},
+     "b = inf needs xi or c"),
+    ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0}, "cli: verify requires a potential"),
+    ("weyl", {}, "cli: weyl requires a potential"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
@@ -401,7 +455,9 @@ HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
         "infinite-mass-str", "infinite-mass-frac", "infinite-mass-int", "tail-T-nan",
         "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan",
         "sweep-not-sl0", "restore-numerator-overflow", "restore-re-h-overflow",
-        "sweep-numerator-overflow", "verify-numerator-overflow"])
+        "sweep-numerator-overflow", "verify-numerator-overflow", "restore-mu-overflow",
+        "sweep-mu-overflow", "restore-theta-mismatch", "restore-finite-b-no-theta",
+        "restore-b-inf-no-c", "verify-no-potential", "weyl-no-potential"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from slrestore.errors import (
     DegenerateImaginaryPart,
     MissingXi,
     OutOfRange,
+    RestorationOverflow,
     ThetaMismatch,
     ValidationError,
 )
@@ -364,8 +366,22 @@ sweep_params = st.one_of(
        st.randoms())
 @example((2.0, 0.3, 0.2, None), [1.0, -1.0, -2.0, 0.0], random.Random(0))
 @example((INF, -0.5, 0.5, 1.0), [2.0, 0.0, -1.0], random.Random(0))
+@example((2.0, 0.3, 0.2, None), [1.0, 0.0, 5e-324], random.Random(0))  # Im h / gamma = inf
 def test_prop_sweep_matches_scalar_path(p, gammas, rnd):
     b, theta, m, xi = p
+    offset, numerator = (theta, (theta + m) * b) if xi is None else (-m, xi)
+    # mu = inf only at gamma = 0: elsewhere every path refuses it by name
+    huge = [g for g in gammas if g != 0.0 and math.isinf(numerator / (1.0 + g * g) / g)]
+    if huge:
+        g = min(huge)
+        for restore_at in (lambda: sweep(b, theta, m, xi, gammas),
+                           lambda: restore_system(b, g, theta, m, xi),
+                           lambda: restore_mu(restore_h(b, g, theta, m, xi), g),
+                           lambda: mu_locus(b, theta, m, xi).at(g)):
+            with pytest.raises(RestorationOverflow,
+                               match=re.escape(f"mu is out of float range at gamma={g!r}")):
+                restore_at()
+        return
     rows = sweep(b, theta, m, xi, gammas)
     assert [r.gamma for r in rows] == sorted(gammas)
     shuffled = list(gammas)
@@ -373,11 +389,10 @@ def test_prop_sweep_matches_scalar_path(p, gammas, rnd):
 
     assert list(sweep(b, theta, m, xi, shuffled)) == list(rows)
     # reference: the closed forms evaluated one gamma at a time in Python floats
-    offset, numerator = (theta, (theta + m) * b) if xi is None else (-m, xi)
     for row in rows:
         g = row.gamma
         s = 1.0 + g * g
-        assert row.h == complex(offset + g * numerator / s, numerator / s)
+        assert row.h == complex(offset + g * (numerator / s), numerator / s)
         assert row.mu == (INF if g == 0.0 else row.h.real + row.h.imag / g)
         q = g if xi is not None else g * g + g * b + 1.0
         assert (row.sectoriality.accretive, row.sectoriality.strict) == (q >= 0.0, q > 0.0)

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from slrestore.errors import CayleyPole, PoleOfW, SideConditionViolated, ValidationError
+from slrestore.errors import (
+    CayleyPole,
+    PoleOfV,
+    PoleOfW,
+    SideConditionViolated,
+    ValidationError,
+)
 from slrestore.stieltjes import StieltjesLikeFunction, log_polar_grid
 from slrestore.system import (
     SystemParams,
@@ -94,6 +100,16 @@ def test_impedance_herglotz(remark_params, paper_params):
 
 
 # -- Cayley maps --------------------------------------------------------------
+
+@pytest.mark.parametrize("h, mu, m, message", [
+    (1.5 + 1j, INF, -1.5, "impedance pole"),  # m + Re h = 0
+    (1.0 + 1j, 3.0, -0.5, "impedance pole"),  # (mu - Re h) m + mu Re h - |h|^2 = 0
+    (1e300j, INF, 1e-10, "out of float range"),  # Im h / m = 1e310
+], ids=["mu-inf-pole", "mu-finite-pole", "overflow"])
+def test_impedance_pole_is_named(h, mu, m, message):
+    with pytest.raises(PoleOfV, match=message):
+        impedance_V(SystemParams(h=h, mu=mu, m_fn=lambda lam: m), -1.0)
+
 
 def test_cayley_examples():
     assert abs(cayley_V_from_W(-1j) - 1.0) < 1e-14
