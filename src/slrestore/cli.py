@@ -95,10 +95,14 @@ def _load_job(path: str, command: str) -> JsonField:
 
 
 def _gammas(job: JsonField) -> np.ndarray:
-    lo, hi, n = job["gamma_range"].items(3)
+    node = job["gamma_range"]
+    lo, hi, n = node.items(3)
     n.expect(type(n.value) is int and 0 < n.value <= MAX_GAMMA_ROWS,
              f"a row count in [1, {MAX_GAMMA_ROWS}]")
-    return np.linspace(lo.number(), hi.number(), n.value)
+    lo, hi = lo.number(), hi.number()
+    if not math.isfinite(hi - lo):  # np.linspace would step by inf into NaN rows
+        raise ValidationError(f"{node.path}: width {hi!r} - {lo!r} is out of float range")
+    return np.linspace(lo, hi, n.value)
 
 
 def _potential(job: JsonField, needed_by: str = "") -> Optional[HalfLinePotential]:

@@ -17,13 +17,19 @@ root has the absolute tolerance QUAD_TOL before its prefactor (2c, or 2c T**(1-s
 tail), or its round-off where that is larger; capped refinement (the breadth cap counts
 each point's panels) ends silently, its error still counted.  Every part's error adds the
 one round-off rule: a few eps of each term, sqrt(n) eps of a sum of n terms.
+
+Inside a ``resolvent_pass(sigma, points)`` block, R of that measure at any subset of the
+points is read from one integrate_weighted pass over all of them, made at the first such
+request; each value and error is the one its point alone gives, so nothing else changes.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +40,7 @@ from .errors import (
     NonIntegrable,
     NotSL0,
     PoleOnSupport,
+    SlrestoreError,
     UnrepresentableMeasure,
     ValidationError,
 )
@@ -47,6 +54,8 @@ __all__ = [
     "Moments",
     "ClassTag",
     "integrate_weighted",
+    "resolvent_pass",
+    "MOMENT_POINTS",
     "moments",
     "classify",
     "adaptive_gauss_legendre",
@@ -58,6 +67,9 @@ __all__ = [
 
 #: Absolute tolerance of every weighted integral, per point and root.
 QUAD_TOL = 1e-11
+
+#: The points of the moments: a = Re R(-1), b = R(0) and i2 = Im R(i).
+MOMENT_POINTS = (-1.0, 0.0, 1j)
 
 
 @dataclass(frozen=True)
@@ -453,15 +465,8 @@ def _resolvent(sigma: SpectralMeasure, zr):
     return value, err
 
 
-def integrate_weighted(sigma: SpectralMeasure, z):
-    """R(z) = integral d(sigma)(t) / (t - z) and its error estimate, at a point z off
-    (0, +inf) or at each point of a 1-D array.
-
-    R(0) is the 1/t moment b: +inf with error 0 when it diverges at the origin (an atom
-    there raises DivergentAtOrigin).  All points take one quadrature call, each value and
-    error the one its point alone gives.  Each part's error adds the round-off of its
-    terms (_roundoff).
-    """
+def _points(z) -> np.ndarray:
+    """z as a complex point (0-d) or 1-D array of points off (0, +inf), each finite."""
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1 or not zs.size:
         raise ValidationError(f"resolvent: expected a point or a 1-D array of them, got {z!r}")
@@ -470,17 +475,88 @@ def integrate_weighted(sigma: SpectralMeasure, z):
             raise ValidationError(f"resolvent point z={zj} is not finite")
         if zj.imag == 0.0 and zj.real > 0.0:
             raise PoleOnSupport(f"resolvent point z={zj} lies on (0, +inf)")
-    zr = zs.ravel()
+    return zs
+
+
+def _resolve(sigma: SpectralMeasure, zr):
+    """(R, err) at each point of the 1-D array zr, a divergent b = R(0) as +inf."""
     value, err = np.full(zr.size, math.inf, complex), np.zeros(zr.size)
     at0 = zr == 0.0  # a divergent b is +inf, no point of the quadrature
     todo = ~at0 if at0.any() and _b_divergent(sigma) else slice(None)
     value[todo], err[todo] = _resolvent(sigma, zr[todo])
+    return value, err
+
+
+def _bits(zr) -> list:
+    """Each point's bit pattern (-0.0 and 0.0 differ), a dict key."""
+    return list(map(tuple, zr.view(np.uint64).reshape(-1, 2).tolist()))
+
+
+class _Pass:
+    """R of one measure at a point set, resolved at the first request it covers."""
+
+    __slots__ = ("sigma", "points", "index", "result")
+
+    def __init__(self, sigma: SpectralMeasure, points):
+        self.sigma, self.points = sigma, np.asarray(points, dtype=complex).ravel()
+        self.index = {key: i for i, key in enumerate(_bits(self.points))}
+        self.result = None  # (value, err) once resolved, False once dropped
+
+    def serve(self, sigma: SpectralMeasure, zr):
+        """(value, err) at zr from the pass, or None: another measure, a point
+        outside the set, or a pass that raised (dropped, so each request
+        computes, and fails, on its own)."""
+        if sigma is not self.sigma or self.result is False:
+            return None
+        if None in (at := [self.index.get(key) for key in _bits(zr)]):
+            return None
+        if self.result is None:
+            try:
+                self.result = _resolve(sigma, _points(self.points))
+            except SlrestoreError:
+                self.result = False
+                return None
+        return tuple(x[at] for x in self.result)
+
+
+_PASS: ContextVar[Optional[_Pass]] = ContextVar("slrestore_resolvent_pass", default=None)
+
+
+@contextlib.contextmanager
+def resolvent_pass(sigma: SpectralMeasure, points):
+    """Within the block (this thread or task only), integrate_weighted(sigma, z) on this
+    measure object at points all in the set reads one pass over the whole set, bit for
+    bit the values and errors of its own call; any other call runs as it would outside.
+    The pass is integrated at its first such request; if that raises, it is dropped and
+    each request computes alone.  Nothing is kept after the block."""
+    token = _PASS.set(_Pass(sigma, points))
+    try:
+        yield
+    finally:
+        _PASS.reset(token)
+
+
+def integrate_weighted(sigma: SpectralMeasure, z):
+    """R(z) = integral d(sigma)(t) / (t - z) and its error estimate, at a point z off
+    (0, +inf) or at each point of a 1-D array.
+
+    R(0) is the 1/t moment b: +inf with error 0 when it diverges at the origin (an atom
+    there raises DivergentAtOrigin).  All points take one quadrature call, each value and
+    error the one its point alone gives.  Each part's error adds the round-off of its
+    terms (_roundoff).  Inside a resolvent_pass on sigma whose set holds every point, the
+    call reads that pass (so run_verify's moments and verify samples are one quadrature
+    call) and returns the same bits.
+    """
+    zr = (zs := _points(z)).ravel()
+    if (shared := _PASS.get()) is None or (result := shared.serve(sigma, zr)) is None:
+        result = _resolve(sigma, zr)
+    value, err = result
     return (value, err) if zs.ndim else (complex(value[0]), float(err[0]))
 
 
 def moments(sigma: SpectralMeasure) -> Moments:
     """a = Re R(-1) (1/(1+t)), b = R(0) (1/t) and i2 = Im R(i) (1/(1+t^2)), in one pass."""
-    (a, b, i2), errs = (x.tolist() for x in integrate_weighted(sigma, np.array([-1.0, 0.0, 1j])))
+    (a, b, i2), errs = (x.tolist() for x in integrate_weighted(sigma, MOMENT_POINTS))
     return Moments(a.real, b.real, i2.imag, *errs)
 
 

@@ -9,7 +9,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .measure import ClassTag, Moments, SpectralMeasure, classify, moments
+from .measure import (
+    MOMENT_POINTS,
+    ClassTag,
+    Moments,
+    SpectralMeasure,
+    classify,
+    moments,
+    resolvent_pass,
+)
 from .restore import RestoredSystem, restore_system
 from .stieltjes import StieltjesLikeFunction, log_polar_grid
 from .system import SystemParams, VerifyReport, verify_realization, weyl_m_fn
@@ -87,10 +95,14 @@ def run_verify(sigma: SpectralMeasure, gamma: float,
 
     The forward model's m_inf is the potential's (a table's at ODE_TOL); the
     samples are the 5 x 4 log-polar grid, and the report passes up to VERIFY_TOL.
+    The moments and the samples are one resolvent pass (one quadrature call),
+    each value bit for bit the one its own call gives.
     """
-    result = run_restore(sigma, gamma, operator, potential)
-    params = SystemParams(h=result.restored.h, mu=result.restored.mu,
-                          m_fn=weyl_m_fn(WeylEvaluator(potential=potential)),
-                          theta_expected=result.operator.theta)
-    f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
-    return verify_realization(f, params, log_polar_grid(n_radius=5, n_angle=4))
+    grid = log_polar_grid(n_radius=5, n_angle=4)
+    with resolvent_pass(sigma, [*MOMENT_POINTS, *grid]):
+        result = run_restore(sigma, gamma, operator, potential)
+        params = SystemParams(h=result.restored.h, mu=result.restored.mu,
+                              m_fn=weyl_m_fn(WeylEvaluator(potential=potential)),
+                              theta_expected=result.operator.theta)
+        f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
+        return verify_realization(f, params, grid)

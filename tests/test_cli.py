@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,10 @@ FINITE_B_MEASURE = {
     "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5}],
     "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}, "infinite_mass": True}
 HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
+# finite mass, and a power law u**1201 in u = sqrt(t) that no Gauss-Jacobi rule in float
+# range integrates: classify's NotSL0 comes before any quadrature
+STEEP_FINITE_MASS_MEASURE = {
+    "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 600.0}]}
 
 
 @pytest.mark.parametrize("command, job, message", [
@@ -418,6 +423,10 @@ HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
      "operator.xi: non-finite number nan"),
     ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [0.0, math.nan, 5],
                "operator": SWEEP_OPERATOR}, "gamma_range[1]: non-finite number nan"),
+    # hi - lo out of float range: refused before np.linspace steps by inf (NaN rows)
+    ("sweep", {"measure": PAPER_MEASURE, "gamma_range": [-1e308, 1e308, 5],
+               "operator": SWEEP_OPERATOR},
+     "gamma_range: width 1e+308 - -1e+308 is out of float range"),
     # sweep classifies its measure as restore does
     ("sweep", {"measure": dict(PAPER_MEASURE, infinite_mass=False), "gamma_range": [0.0, 1.0, 3],
                "operator": SWEEP_OPERATOR}, "NotSL0: infinite total mass not declared"),
@@ -446,6 +455,8 @@ HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
      "b = inf needs xi or c"),
     ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0}, "cli: verify requires a potential"),
     ("weyl", {}, "cli: weyl requires a potential"),
+    ("verify", {"measure": STEEP_FINITE_MASS_MEASURE, "gamma": 0.0,
+                "potential": ZERO_POTENTIAL}, "NotSL0: infinite total mass not declared"),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
@@ -454,19 +465,26 @@ HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
         "tolerances-object", "tolerances-number", "tolerances-null",
         "infinite-mass-str", "infinite-mass-frac", "infinite-mass-int", "tail-T-nan",
         "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan",
-        "sweep-not-sl0", "restore-numerator-overflow", "restore-re-h-overflow",
+        "range-width-overflow", "sweep-not-sl0", "restore-numerator-overflow", "restore-re-h-overflow",
         "sweep-numerator-overflow", "verify-numerator-overflow", "restore-mu-overflow",
         "sweep-mu-overflow", "restore-theta-mismatch", "restore-finite-b-no-theta",
-        "restore-b-inf-no-c", "verify-no-potential", "weyl-no-potential"])
+        "restore-b-inf-no-c", "verify-no-potential", "weyl-no-potential",
+        "verify-not-sl0-before-quadrature"])
 def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command, job,
                                           message):
     monkeypatch.chdir(tmp_path)  # a relative output path lands here
     argv = [command, "--job", _write_job(tmp_path, "job.json", job), "--quiet"]
     if "output" not in job:
         argv += ["--out", str(tmp_path / "out")]
-    assert cli.main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # no artifact
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # no numpy warning leaks from the refused job
+    assert "RuntimeWarning" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("command, job", [

@@ -29,6 +29,7 @@ from slrestore.errors import (
     NonIntegrable,
     NotSL0,
     PoleOnSupport,
+    UnrepresentableMeasure,
     ValidationError,
 )
 from slrestore.measure import (
@@ -43,8 +44,12 @@ from slrestore.measure import (
     measure_from_json,
     measure_to_json,
     moments,
+    resolvent_pass,
 )
+from slrestore.pipeline import run_restore, run_verify
 from slrestore.stieltjes import StieltjesLikeFunction, eval_V, log_polar_grid
+from slrestore.system import SystemParams, verify_realization, weyl_m_fn
+from slrestore.weyl import WeylEvaluator
 
 
 # -- quadrature core ----------------------------------------------------------
@@ -1050,6 +1055,107 @@ def test_eval_V_on_the_verify_grid_is_one_quadrature_pass(paper_measure, integra
     # the graded origin panels leave 3 levels (8 when each chart started as one panel)
     eval_V(StieltjesLikeFunction(paper_measure, 0.0), log_polar_grid(5, 4))
     assert integrand_calls.passes == 1 and 1 <= len(integrand_calls) <= 3
+
+
+# -- the shared resolvent pass ------------------------------------------------
+
+#: run_verify's pass: the moment points, then the 5 x 4 verify grid
+_VERIFY_POINTS = [*measure_module.MOMENT_POINTS, *log_polar_grid(5, 4)]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, -1.3, 2.7])
+def test_a_verify_job_is_one_quadrature_call(gamma, paper_measure, zero_potential,
+                                             integrand_calls):
+    # restore's moments and the 20 samples read one pass; the report is, bit for bit, the
+    # one built from separate moments and eval_V calls (two quadrature calls)
+    report = run_verify(paper_measure, gamma, zero_potential)
+    assert integrand_calls.passes == 1
+    result = run_restore(paper_measure, gamma, None, zero_potential)
+    params = SystemParams(h=result.restored.h, mu=result.restored.mu,
+                          m_fn=weyl_m_fn(WeylEvaluator(potential=zero_potential)),
+                          theta_expected=result.operator.theta)
+    alone = verify_realization(StieltjesLikeFunction(paper_measure, gamma), params,
+                               log_polar_grid(5, 4))
+    assert integrand_calls.passes == 3
+    assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
+
+
+def test_a_pass_serves_only_its_measure_object_and_points(paper_measure, integrand_calls):
+    grid = np.array(log_polar_grid(5, 4))
+    alone = [integrate_weighted(paper_measure, z)
+             for z in (measure_module.MOMENT_POINTS, grid, grid[3], complex(-1.0, -0.0))]
+    copy = SpectralMeasure(**vars(paper_measure))  # equal, not the same object
+    integrand_calls.passes = 0
+    with resolvent_pass(paper_measure, _VERIFY_POINTS):
+        assert integrand_calls.passes == 0  # resolved at its first request, not on entry
+        served = [integrate_weighted(paper_measure, measure_module.MOMENT_POINTS),
+                  integrate_weighted(paper_measure, grid), integrate_weighted(paper_measure, grid[3])]
+        assert integrand_calls.passes == 1
+        # a point off the set (imaginary part -0.0, not 0.0), another object, a wider array
+        conj = integrate_weighted(paper_measure, complex(-1.0, -0.0))
+        integrate_weighted(copy, grid)
+        integrate_weighted(paper_measure, np.append(grid, -2.0))
+        assert integrand_calls.passes == 4
+    for (v, e), (v0, e0) in zip(served + [conj], alone):
+        assert np.asarray(v).tobytes() == np.asarray(v0).tobytes()
+        assert np.asarray(e).tobytes() == np.asarray(e0).tobytes()
+    assert type(served[2][0]) is complex and type(served[2][1]) is float
+
+
+def test_nothing_is_reused_outside_the_pass(paper_measure, zero_potential, integrand_calls):
+    # the pass lives in its block and its thread: the session-wide measure keeps nothing
+    run_verify(paper_measure, 0.0, zero_potential)
+    assert integrand_calls.passes == 1 and measure_module._PASS.get() is None
+    moments(paper_measure)
+    eval_V(StieltjesLikeFunction(paper_measure, 0.0), log_polar_grid(5, 4))
+    assert integrand_calls.passes == 3
+    seen = []
+
+    def other_thread():
+        seen.append(measure_module._PASS.get())
+        moments(paper_measure)
+
+    with pytest.raises(RuntimeError):
+        with resolvent_pass(paper_measure, _VERIFY_POINTS):
+            moments(paper_measure)
+            assert integrand_calls.passes == 4
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and seen == [None] and integrand_calls.passes == 5
+            moments(paper_measure)
+            assert integrand_calls.passes == 5
+            raise RuntimeError  # a block left by an exception keeps nothing either
+    assert measure_module._PASS.get() is None
+    moments(paper_measure)
+    assert integrand_calls.passes == 6
+
+
+def test_a_pass_that_raises_is_dropped(paper_measure, integrand_calls):
+    # a set with a point on the support: the pass raises at its first request and is
+    # dropped, so each request computes alone, as it would outside the block
+    alone = integrate_weighted(paper_measure, -1.0)
+    with resolvent_pass(paper_measure, [-1.0, 2.0]):
+        assert integrate_weighted(paper_measure, -1.0) == alone
+        assert integrate_weighted(paper_measure, -1.0) == alone
+        with pytest.raises(PoleOnSupport, match="z=.2"):
+            integrate_weighted(paper_measure, 2.0)
+    assert integrand_calls.passes == 3
+
+
+def test_a_verify_job_fails_where_its_own_calls_fail(zero_potential):
+    # a power law u**1201 has no Gauss-Jacobi rule in float range: with finite mass,
+    # classify's NotSL0 comes first; with infinite mass, moments' UnrepresentableMeasure
+    steep = PowerLawPiece(0.0, 1.0, 1.0, 600.0)
+    with pytest.raises(NotSL0):
+        run_verify(SpectralMeasure(pieces=(steep,)), 0.0, zero_potential)
+    sigma = SpectralMeasure(pieces=(steep,), tail=Tail(1.0, 1.0, 0.5),
+                            declared_infinite_mass=True)
+    with pytest.raises(UnrepresentableMeasure) as alone:
+        moments(sigma)
+    with pytest.raises(UnrepresentableMeasure) as shared:
+        run_verify(sigma, 0.0, zero_potential)
+    assert str(shared.value) == str(alone.value)
 
 
 def _wrap_integrands(monkeypatch, wrap):
