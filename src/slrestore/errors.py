@@ -25,7 +25,7 @@ class PoleOnSupport(ValidationError):
 
 
 class NotSL0(ValidationError):
-    """Infinite total mass cannot be asserted for this measure."""
+    """The measure has finite total mass (no tail with exponent <= 1): outside SL0."""
 
 
 class UnrepresentableMeasure(ValidationError):

@@ -2,10 +2,8 @@
 
 A measure is a sum of point atoms, piecewise densities on a bounded window,
 and an optional power-law tail ``d(sigma)/dt = coeff * t**(-exponent)`` for
-``t >= threshold``.  Infinite total mass (needed for the SL0 classes) cannot
-be verified from finite data and is therefore declared by a flag; the
-validator only checks that the declaration is consistent with a tail
-exponent <= 1.
+``t >= threshold``.  Atoms and bounded pieces have finite mass, so the total mass is
+infinite (as the SL0 classes need) exactly when there is a tail with exponent <= 1.
 
 Every kernel is a point of the resolvent R(z) = integral d(sigma)(t) / (t - z): the moments
 are Re R(-1) (1/(1+t)), R(0) (1/t) and Im R(i) (1/(1+t^2)), and V(z) is gamma + R(z).  Atoms
@@ -18,9 +16,9 @@ tail), or its round-off where that is larger; capped refinement (the breadth cap
 each point's panels) ends silently, its error still counted.  Every part's error adds the
 one round-off rule: a few eps of each term, sqrt(n) eps of a sum of n terms.
 
-Inside a ``resolvent_pass(sigma, points)`` block, R of that measure at any subset of the
-points is read from one integrate_weighted pass over all of them, made at the first such
-request; each value and error is the one its point alone gives, so nothing else changes.
+A ``resolvent_pass(sigma, points)`` block integrates R of that measure at all the points
+on entry; inside it, R at any subset of them is read from that one pass.  Each value and
+error is the one its point alone gives, so nothing else changes.
 """
 from __future__ import annotations
 
@@ -126,7 +124,6 @@ class SpectralMeasure:
     atoms: tuple = ()
     pieces: tuple = ()
     tail: Optional[Tail] = None
-    declared_infinite_mass: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -171,9 +168,12 @@ class SpectralMeasure:
                     raise ValidationError(
                         f"piece {i} extends past the tail threshold {self.tail.threshold}"
                     )
-        if self.declared_infinite_mass and (self.tail is None or self.tail.exponent > 1.0):
-            raise ValidationError("declared_infinite_mass requires a tail with exponent <= 1 "
-                                  "(the only representable route to infinite mass)")
+
+    @property
+    def infinite_mass(self) -> bool:
+        """Infinite total mass: atoms and bounded pieces are finite, a tail t**-s is
+        infinite exactly when s <= 1."""
+        return self.tail is not None and self.tail.exponent <= 1.0
 
 
 @dataclass(frozen=True)
@@ -492,44 +492,24 @@ def _bits(zr) -> list:
     return list(map(tuple, zr.view(np.uint64).reshape(-1, 2).tolist()))
 
 
-class _Pass:
-    """R of one measure at a point set, resolved at the first request it covers."""
-
-    __slots__ = ("sigma", "points", "index", "result")
-
-    def __init__(self, sigma: SpectralMeasure, points):
-        self.sigma, self.points = sigma, np.asarray(points, dtype=complex).ravel()
-        self.index = {key: i for i, key in enumerate(_bits(self.points))}
-        self.result = None  # (value, err) once resolved, False once dropped
-
-    def serve(self, sigma: SpectralMeasure, zr):
-        """(value, err) at zr from the pass, or None: another measure, a point
-        outside the set, or a pass that raised (dropped, so each request
-        computes, and fails, on its own)."""
-        if sigma is not self.sigma or self.result is False:
-            return None
-        if None in (at := [self.index.get(key) for key in _bits(zr)]):
-            return None
-        if self.result is None:
-            try:
-                self.result = _resolve(sigma, _points(self.points))
-            except SlrestoreError:
-                self.result = False
-                return None
-        return tuple(x[at] for x in self.result)
-
-
-_PASS: ContextVar[Optional[_Pass]] = ContextVar("slrestore_resolvent_pass", default=None)
+#: The pass of a resolvent_pass block: (measure, point bit pattern -> index, R, err).
+_PASS: ContextVar[Optional[tuple]] = ContextVar("slrestore_resolvent_pass", default=None)
 
 
 @contextlib.contextmanager
 def resolvent_pass(sigma: SpectralMeasure, points):
-    """Within the block (this thread or task only), integrate_weighted(sigma, z) on this
-    measure object at points all in the set reads one pass over the whole set, bit for
-    bit the values and errors of its own call; any other call runs as it would outside.
-    The pass is integrated at its first such request; if that raises, it is dropped and
-    each request computes alone.  Nothing is kept after the block."""
-    token = _PASS.set(_Pass(sigma, points))
+    """Integrate R of sigma at every point on entry, in one pass; within the block (this
+    thread or task only), integrate_weighted(sigma, z) on this measure object at points
+    all in the set reads that pass, bit for bit the values and errors of its own call, and
+    any other call runs as it would outside.  A pass that raises is not kept, so each
+    request computes, and fails, on its own.  Nothing is kept after the block."""
+    zr = np.asarray(points, dtype=complex).ravel()
+    try:
+        shared = (sigma, {key: i for i, key in enumerate(_bits(zr))},
+                  *_resolve(sigma, _points(zr)))
+    except SlrestoreError:
+        shared = None
+    token = _PASS.set(shared)
     try:
         yield
     finally:
@@ -548,9 +528,9 @@ def integrate_weighted(sigma: SpectralMeasure, z):
     call) and returns the same bits.
     """
     zr = (zs := _points(z)).ravel()
-    if (shared := _PASS.get()) is None or (result := shared.serve(sigma, zr)) is None:
-        result = _resolve(sigma, zr)
-    value, err = result
+    shared = _PASS.get()
+    at = [shared[1].get(key) for key in _bits(zr)] if shared and shared[0] is sigma else [None]
+    value, err = _resolve(sigma, zr) if None in at else (x[at] for x in shared[2:])
     return (value, err) if zs.ndim else (complex(value[0]), float(err[0]))
 
 
@@ -563,14 +543,13 @@ def moments(sigma: SpectralMeasure) -> Moments:
 def classify(sigma: SpectralMeasure, gamma: float) -> ClassTag:
     """Class tag of gamma + integral d(sigma)/(t-z).
 
-    SL0 membership requires infinite total mass, which is declared rather
-    than computed; the b = inf / b < inf split is decided analytically.
+    SL0 membership requires infinite total mass (sigma.infinite_mass: a tail with
+    exponent <= 1); the b = inf / b < inf split is decided analytically.
     """
-    if not sigma.declared_infinite_mass:
-        raise NotSL0(
-            "infinite total mass not declared; the SL0 classes require "
-            "integral d(sigma) = inf"
-        )
+    if not sigma.infinite_mass:
+        why = "no tail" if sigma.tail is None else f"tail exponent {sigma.tail.exponent} > 1"
+        raise NotSL0(f"finite total mass ({why}): the SL0 classes require "
+                     "integral d(sigma) = inf, a tail with exponent <= 1")
     kind = "SL0K" if _b_divergent(sigma) else "SL01K"
     return ClassTag(kind=kind, stieltjes=(gamma >= 0.0))
 
@@ -660,12 +639,10 @@ def measure_from_json(obj) -> SpectralMeasure:
             pieces.append(PowerLawPiece(lo, hi, coeff, e))
         else:
             raise ValidationError(f"{p.path}.kind: unknown piece kind {kind!r}")
-    t, infinite = node.get("tail"), node.get("infinite_mass")
+    t = node.get("tail")
     tail = None if t.value is None else Tail(t["T"].number(), t["coeff"].number(),
                                              t["exponent"].number())
-    infinite.expect(isinstance(infinite.value, (bool, type(None))), "a boolean")
-    return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail,
-                           declared_infinite_mass=bool(infinite.value))
+    return SpectralMeasure(atoms=atoms, pieces=tuple(pieces), tail=tail)
 
 
 def measure_to_json(sigma: SpectralMeasure) -> dict:
@@ -676,5 +653,4 @@ def measure_to_json(sigma: SpectralMeasure) -> dict:
                         "exponent": p.exponent} if isinstance(p, PowerLawPiece) else
                        {"kind": "table", "knots": list(p.knots), "values": list(p.values)}
                        for p in sigma.pieces],
-            "infinite_mass": sigma.declared_infinite_mass,
             "tail": t and {"T": t.threshold, "coeff": t.coeff, "exponent": t.exponent}}

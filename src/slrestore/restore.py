@@ -196,6 +196,8 @@ def _eta(x, y, mu):
     """Quasi-kernel parameter for h = x + iy; NaN where |mu - x| ~ 0."""
     with np.errstate(all="ignore"):
         eta = np.divide(mu * x - (x * x + y * y), mu - x)
+        # squares past the float range (inf - inf): the same quotient, x - y (y / (mu - x))
+        eta = np.where(np.isnan(eta), x - y * np.divide(y, mu - x), eta)
     near = np.abs(mu - x) < 1e-8 * (1.0 + np.abs(mu))
     return np.where(np.isinf(mu), x, np.where(near, math.nan, eta))
 
@@ -287,6 +289,7 @@ def sweep(b: float, theta: float, m: float, xi: Optional[float],
     r = np.float64(numerator / 2.0)  # the h circle: center offset + ir, radius r
     with np.errstate(all="ignore"):  # a residual past the float range reads inf
         circle_res = np.abs((x - offset) ** 2 + (y - r) ** 2 - r ** 2)
+        circle_res[np.isnan(circle_res)] = math.inf  # squares that overflow: inf - inf
         eta_res = np.abs(_eta(x, y, mu) - offset)
     return Sweep(g, x, y, mu, rank, alpha, circle_res, eta_res)
 

@@ -91,7 +91,8 @@ class OperatorData:
     """Boundary data consumed by the restoration pipeline.
 
     theta is the quasi-kernel boundary parameter, m = m_inf(-0), c the
-    boundary-trace constant and xi = i2/c; None marks a value left out.
+    boundary-trace constant and xi = i2/c; None marks a value left out (m is
+    required).
     """
 
     theta: Optional[float]
@@ -102,7 +103,7 @@ class OperatorData:
     def __post_init__(self):
         for name in ("theta", "m", "c", "xi"):
             x = getattr(self, name)
-            if x is not None and not math.isfinite(x):
+            if (x is None and name == "m") or (x is not None and not math.isfinite(x)):
                 raise ValidationError(f"operator data: {name} must be finite, got {x}")
         if self.theta is not None and self.theta + self.m < -THETA_RTOL * (1.0 + abs(self.m)):
             raise ValidationError(

@@ -14,7 +14,6 @@ def paper_measure():
     return SpectralMeasure(
         pieces=(PowerLawPiece(0.0, 1.0, 1.0 / PI, -0.5),),
         tail=Tail(threshold=1.0, coeff=1.0 / PI, exponent=0.5),
-        declared_infinite_mass=True,
     )
 
 
@@ -27,8 +26,7 @@ def b2_oracle_measure():
 @pytest.fixture(scope="session")
 def b2_sl01k_measure():
     """d(sigma)/dt = 2/t on [1, inf): infinite mass, b = 2, class SL01K."""
-    return SpectralMeasure(tail=Tail(threshold=1.0, coeff=2.0, exponent=1.0),
-                           declared_infinite_mass=True)
+    return SpectralMeasure(tail=Tail(threshold=1.0, coeff=2.0, exponent=1.0))
 
 
 @pytest.fixture(scope="session")

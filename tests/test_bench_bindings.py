@@ -44,7 +44,6 @@ PAPER_MEASURE = {
     "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law",
                 "coeff": 1.0 / math.pi, "exponent": -0.5}],
     "tail": {"T": 1.0, "coeff": 1.0 / math.pi, "exponent": 0.5},
-    "infinite_mass": True,
 }
 OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import importlib.util
 import json
 import math
 import subprocess
@@ -23,7 +24,6 @@ PAPER_MEASURE = {
     "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law",
                 "coeff": 1.0 / math.pi, "exponent": -0.5}],
     "tail": {"T": 1.0, "coeff": 1.0 / math.pi, "exponent": 0.5},
-    "infinite_mass": True,
 }
 ZERO_POTENTIAL = {"a": 0.0, "q": {"kind": "zero"}}
 
@@ -41,6 +41,7 @@ def _run(command, job_path, out_path):
 # -- happy paths --------------------------------------------------------------
 
 def test_classify_job(tmp_path):
+    # no infinite_mass field: a tail with exponent <= 1 is infinite mass
     job = _write_job(tmp_path, "job.json",
                      {"command": "classify", "measure": PAPER_MEASURE, "gamma": 0.0})
     out = tmp_path / "classify.json"
@@ -115,6 +116,21 @@ def test_sweep_job_circle(tmp_path):
         x, y = float(row["h_re"]), float(row["h_im"])
         assert abs(x * x + (y - 0.5) ** 2 - 0.25) < 1e-10
         assert row["accretive"] == "1"
+
+
+def test_sweep_residuals_past_the_float_range(tmp_path):
+    # xi = i2/c ~ 7e299: the squares of both identities overflow, so the circle residual
+    # reads inf (not inf - inf = nan) and eta, defined there, is no empty cell
+    job = _write_job(tmp_path, "job.json",
+                     {"measure": PAPER_MEASURE, "gamma_range": [1.0, 2.0, 2],
+                      "operator": {"m": 0.0, "c": 1e-300}})
+    out = tmp_path / "sweep.csv"
+    assert _run("sweep", job, out) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["circle_residual"] for row in rows] == ["inf", "inf"]
+    assert all(float(row["eta_residual"]) >= 0.0 for row in rows)
+    assert not any(cell in ("", "nan") for row in rows for cell in row.values())
 
 
 def test_weyl_job(tmp_path):
@@ -257,7 +273,33 @@ def test_a_failing_sweep_writes_no_file(tmp_path, monkeypatch):
 
 def test_measure_schema_round_trips_through_own_reader():
     sigma = measure_from_json(PAPER_MEASURE)
-    assert sigma.tail.exponent == 0.5 and sigma.declared_infinite_mass
+    assert sigma.tail.exponent == 0.5 and sigma.infinite_mass
+
+
+def _workload_jobs(seed):
+    """The benchmark's jobs of both workloads at seed (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [job for name in ("verify-paper", "quad-sweep")
+            for job in workloads.make_jobs(name, seed)]
+
+
+def test_an_infinite_mass_field_changes_no_byte(tmp_path):
+    # the field of the old schema is not read: every benchmark job carries
+    # "infinite_mass": true, and gives the same bytes without it
+    jobs = _workload_jobs(1)
+    assert {job["command"] for job in jobs} >= {"verify", "moments", "restore", "sweep"}
+    for i, job in enumerate(jobs):
+        assert job["measure"]["infinite_mass"] is True
+        bare = copy.deepcopy(job)
+        del bare["measure"]["infinite_mass"]
+        outs = [tmp_path / f"{i}.{name}" for name in ("with", "without")]
+        for name, payload, out in zip(("with", "without"), (job, bare), outs):
+            assert _run(job["command"], _write_job(tmp_path, f"{i}.{name}.json", payload),
+                        out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # -- exit codes ---------------------------------------------------------------
@@ -345,12 +387,15 @@ SWEEP_OPERATOR = {"theta": 0.0, "m": 0.0, "c": 1.0 / math.sqrt(2.0)}
 # b = 4: 2 from the piece, 2 from the tail
 FINITE_B_MEASURE = {
     "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5}],
-    "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}, "infinite_mass": True}
+    "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}}
 HUGE_OPERATOR = {"theta": 1e308, "m": 1e308}
-# finite mass, and a power law u**1201 in u = sqrt(t) that no Gauss-Jacobi rule in float
-# range integrates: classify's NotSL0 comes before any quadrature
+# finite mass (a tail of exponent 2), and a power law u**1201 in u = sqrt(t) that no
+# Gauss-Jacobi rule in float range integrates: classify's NotSL0 comes before any quadrature
+# error (verify's resolvent pass, integrated on entry, keeps none)
 STEEP_FINITE_MASS_MEASURE = {
-    "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 600.0}]}
+    "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 600.0}],
+    "tail": {"T": 1.0, "coeff": 1.0, "exponent": 2.0}}
+FINITE_MASS_NOT_SL0 = "NotSL0: finite total mass (tail exponent 2.0 > 1)"
 
 
 @pytest.mark.parametrize("command, job, message", [
@@ -401,13 +446,6 @@ STEEP_FINITE_MASS_MEASURE = {
     ("weyl", {"potential": ZERO_POTENTIAL, "tolerances": 1e-6}, "tolerances: not a job field"),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "tolerances": None},
      "tolerances: not a job field"),
-    # infinite_mass is a JSON boolean (null: absent), never read by truthiness
-    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass="no"), "gamma": 0.0},
-     "measure.infinite_mass: expected a boolean, got 'no'"),
-    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass=0.5), "gamma": 0.0},
-     "measure.infinite_mass: expected a boolean, got 0.5"),
-    ("classify", {"measure": dict(PAPER_MEASURE, infinite_mass=1), "gamma": 0.0},
-     "measure.infinite_mass: expected a boolean, got 1"),
     # a non-finite number is refused where the field is read, by its full path
     ("classify", {"measure": dict(PAPER_MEASURE, tail={"T": math.nan, "coeff": 1.0,
                                                        "exponent": 0.5}), "gamma": 0.0},
@@ -428,8 +466,8 @@ STEEP_FINITE_MASS_MEASURE = {
                "operator": SWEEP_OPERATOR},
      "gamma_range: width 1e+308 - -1e+308 is out of float range"),
     # sweep classifies its measure as restore does
-    ("sweep", {"measure": dict(PAPER_MEASURE, infinite_mass=False), "gamma_range": [0.0, 1.0, 3],
-               "operator": SWEEP_OPERATOR}, "NotSL0: infinite total mass not declared"),
+    ("sweep", {"measure": STEEP_FINITE_MASS_MEASURE, "gamma_range": [0.0, 1.0, 3],
+               "operator": SWEEP_OPERATOR}, FINITE_MASS_NOT_SL0),
     # (theta + m) b, Re h or mu overflows: no NaN or inf reaches an artifact
     ("restore", {"measure": FINITE_B_MEASURE, "gamma": 0.5, "operator": HUGE_OPERATOR},
      "RestorationOverflow: (theta + m) * b = inf"),
@@ -456,14 +494,13 @@ STEEP_FINITE_MASS_MEASURE = {
     ("verify", {"measure": PAPER_MEASURE, "gamma": 0.0}, "cli: verify requires a potential"),
     ("weyl", {}, "cli: weyl requires a potential"),
     ("verify", {"measure": STEEP_FINITE_MASS_MEASURE, "gamma": 0.0,
-                "potential": ZERO_POTENTIAL}, "NotSL0: infinite total mass not declared"),
+                "potential": ZERO_POTENTIAL}, FINITE_MASS_NOT_SL0),
 ], ids=["gamma-nan", "gamma-str", "piece-no-hi", "range-2", "range-neg-n",
         "operator-m-str", "gamma-huge", "output-str", "output-no-dir", "gamma-bool",
         "gamma-nan-str", "measure-bool", "operator-bool", "range-frac-n",
         "range-bool-n", "range-zero-n", "range-over-limit", "range-bool-lo",
         "gamma-int-overflow", "table-no-knots", "weyl-lambdas-empty",
-        "tolerances-object", "tolerances-number", "tolerances-null",
-        "infinite-mass-str", "infinite-mass-frac", "infinite-mass-int", "tail-T-nan",
+        "tolerances-object", "tolerances-number", "tolerances-null", "tail-T-nan",
         "table-knot-nan", "potential-value-nan", "operator-xi-nan", "range-hi-nan",
         "range-width-overflow", "sweep-not-sl0", "restore-numerator-overflow", "restore-re-h-overflow",
         "sweep-numerator-overflow", "verify-numerator-overflow", "restore-mu-overflow",
@@ -488,11 +525,11 @@ def test_bad_job_field_exit_2_names_field(tmp_path, monkeypatch, capsys, command
 
 
 @pytest.mark.parametrize("command, job", [
-    ("moments", {"measure": dict(PAPER_MEASURE, infinite_mass=None), "gamma": math.nan}),
+    ("moments", {"measure": PAPER_MEASURE, "gamma": math.nan}),
     ("classify", {"measure": PAPER_MEASURE, "gamma": 0.0, "lambdas": [[math.inf, 0.0]]}),
 ], ids=["moments-gamma-nan", "classify-lambdas-inf"])
 def test_fields_a_command_does_not_read_are_ignored(tmp_path, command, job):
-    # a NaN is refused only where its field is read; infinite_mass null reads as false
+    # a NaN is refused only where its field is read
     assert _run(command, _write_job(tmp_path, "job.json", job), tmp_path / "out") == 0
 
 
@@ -524,7 +561,7 @@ def _no_propagation(*args, **kwargs):
 @pytest.mark.parametrize("measure, values, cutoff, code, message", [
     # finite b: theta is missing, whatever m_inf(-0) would be
     ({"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law", "coeff": 1.0, "exponent": 0.5}],
-      "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}, "infinite_mass": True},
+      "tail": {"T": 1.0, "coeff": 1.0, "exponent": 0.5}},
      [1.0, 0.2, 400.0], 1e6, 2, "ValidationError: finite 1/t moment: theta"),
     # b = inf: c has no closed form for a table
     (PAPER_MEASURE, [1.0, 0.2, 0.5], 3.0, 3, "Unsupported: boundary-trace constant"),

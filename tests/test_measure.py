@@ -659,15 +659,20 @@ def test_classify_sl01k(b2_sl01k_measure):
 
 
 def test_classify_finite_mass_rejected():
-    sigma = SpectralMeasure(atoms=(Atom(1.0, 1.0),))
-    with pytest.raises(NotSL0):
-        classify(sigma, 0.0)
+    # infinite mass is read off the tail: none, or one of exponent 2, is finite mass
+    piece = PowerLawPiece(0.0, 1.0, 1.0, -0.5)
+    for sigma, why in [(SpectralMeasure(atoms=(Atom(1.0, 1.0),), pieces=(piece,)), "no tail"),
+                       (SpectralMeasure(pieces=(piece,), tail=Tail(1.0, 1.0, 2.0)),
+                        "tail exponent 2.0 > 1")]:
+        assert not sigma.infinite_mass
+        with pytest.raises(NotSL0, match=rf"^finite total mass \({why}\): the SL0 classes "
+                                         r"require integral d\(sigma\) = inf"):
+            classify(sigma, 0.0)
 
 
 def test_classify_atom_at_origin_rejected():
     sigma = SpectralMeasure(atoms=(Atom(0.0, 1.0),),
-                            tail=Tail(1.0, 1.0, 1.0),
-                            declared_infinite_mass=True)
+                            tail=Tail(1.0, 1.0, 1.0))
     with pytest.raises(DivergentAtOrigin):
         classify(sigma, 0.0)
 
@@ -821,10 +826,6 @@ def test_validation_rejects_bad_inputs():
         SpectralMeasure(pieces=(PowerLawPiece(0.0, 2.0, 1.0, 0.0),
                                 PowerLawPiece(1.0, 3.0, 1.0, 0.0)))
     with pytest.raises(ValidationError):
-        SpectralMeasure(declared_infinite_mass=True)  # no tail at all
-    with pytest.raises(ValidationError):
-        SpectralMeasure(tail=Tail(1.0, 1.0, 2.0), declared_infinite_mass=True)
-    with pytest.raises(ValidationError):
         SpectralMeasure(pieces=(TablePiece((0.0, 1.0), (1.0, -0.5)),))
     for knots, values in [((), ()), ((0.5,), (1.0,)), ((0.0, 1.0), (1.0,))]:
         with pytest.raises(ValidationError, match="size mismatch"):
@@ -904,8 +905,7 @@ def test_json_roundtrip(paper_measure, b2_oracle_measure):
 def test_json_inverse_sqrt_alias():
     obj = {"pieces": [{"lo": 0.0, "hi": 1.0, "kind": "inverse_sqrt",
                        "coeff": 1.0 / math.pi}],
-           "tail": {"T": 1.0, "coeff": 1.0 / math.pi, "exponent": 0.5},
-           "infinite_mass": True}
+           "tail": {"T": 1.0, "coeff": 1.0 / math.pi, "exponent": 0.5}}
     sigma = measure_from_json(obj)
     assert sigma.pieces[0] == PowerLawPiece(0.0, 1.0, 1.0 / math.pi, -0.5)
 
@@ -940,20 +940,20 @@ _SHAPES = {
         atoms=(Atom(0.7, 0.3), Atom(3.1, 0.12)),
         pieces=(PowerLawPiece(0.0, 0.55, 0.9, -0.45),
                 TablePiece((0.55, 1.2, 2.0, 3.3, 4.1, 5.5), (0.4, 0.8, 0.25, 0.6, 0.9, 0.3))),
-        tail=Tail(5.5, 0.45, 0.65), declared_infinite_mass=True),
+        tail=Tail(5.5, 0.45, 0.65)),
     "table-positive-at-0": SpectralMeasure(
         atoms=(Atom(1.9, 0.2), Atom(5.0, 0.4)),
         pieces=(TablePiece((0.0, 0.6, 1.3, 2.7, 4.0, 6.2), (0.5, 0.2, 0.9, 0.35, 0.7, 0.15)),),
-        tail=Tail(6.2, 0.3, 0.4), declared_infinite_mass=True),
+        tail=Tail(6.2, 0.3, 0.4)),
     "vanishing-power-law-and-table": SpectralMeasure(
         atoms=(Atom(0.25, 0.08), Atom(6.1, 0.33)),
         pieces=(PowerLawPiece(0.0, 0.8, 0.7, 0.85),
                 TablePiece((0.8, 1.5, 2.9, 4.4, 7.0), (0.3, 0.95, 0.5, 0.2, 0.6))),
-        tail=Tail(7.0, 0.6, 0.9), declared_infinite_mass=True),
+        tail=Tail(7.0, 0.6, 0.9)),
     "table-vanishing-at-0": SpectralMeasure(
         atoms=(Atom(0.9, 0.15), Atom(4.2, 0.05)),
         pieces=(TablePiece((0.0, 0.4, 1.1, 2.5, 3.6, 4.8), (0.0, 0.55, 0.3, 0.85, 0.4, 0.65)),),
-        tail=Tail(4.8, 0.2, 0.3), declared_infinite_mass=True),
+        tail=Tail(4.8, 0.2, 0.3)),
 }
 
 # float.hex of moments (a, b, i2, err_a, err_b, err_i2) and of eval_V on
@@ -1087,7 +1087,7 @@ def test_a_pass_serves_only_its_measure_object_and_points(paper_measure, integra
     copy = SpectralMeasure(**vars(paper_measure))  # equal, not the same object
     integrand_calls.passes = 0
     with resolvent_pass(paper_measure, _VERIFY_POINTS):
-        assert integrand_calls.passes == 0  # resolved at its first request, not on entry
+        assert integrand_calls.passes == 1  # integrated on entry
         served = [integrate_weighted(paper_measure, measure_module.MOMENT_POINTS),
                   integrate_weighted(paper_measure, grid), integrate_weighted(paper_measure, grid[3])]
         assert integrand_calls.passes == 1
@@ -1132,8 +1132,8 @@ def test_nothing_is_reused_outside_the_pass(paper_measure, zero_potential, integ
 
 
 def test_a_pass_that_raises_is_dropped(paper_measure, integrand_calls):
-    # a set with a point on the support: the pass raises at its first request and is
-    # dropped, so each request computes alone, as it would outside the block
+    # a set with a point on the support: the pass raises on entry and is not kept, so
+    # each request computes alone, as it would outside the block
     alone = integrate_weighted(paper_measure, -1.0)
     with resolvent_pass(paper_measure, [-1.0, 2.0]):
         assert integrate_weighted(paper_measure, -1.0) == alone
@@ -1149,8 +1149,7 @@ def test_a_verify_job_fails_where_its_own_calls_fail(zero_potential):
     steep = PowerLawPiece(0.0, 1.0, 1.0, 600.0)
     with pytest.raises(NotSL0):
         run_verify(SpectralMeasure(pieces=(steep,)), 0.0, zero_potential)
-    sigma = SpectralMeasure(pieces=(steep,), tail=Tail(1.0, 1.0, 0.5),
-                            declared_infinite_mass=True)
+    sigma = SpectralMeasure(pieces=(steep,), tail=Tail(1.0, 1.0, 0.5))
     with pytest.raises(UnrepresentableMeasure) as alone:
         moments(sigma)
     with pytest.raises(UnrepresentableMeasure) as shared:

@@ -227,6 +227,8 @@ def test_mu_at_centered_gamma_matches_closed_form():
 def test_quasi_kernel_limit_and_degenerate():
     assert quasi_kernel_eta(0.4 + 0.8j, INF) == 0.4
     assert quasi_kernel_eta(1.0 + 1.0j, 1.0 + 1e-12) is None
+    # mu Re h and |h|**2 overflow (inf - inf); eta = Re h - Im h (Im h / (mu - Re h)) = 0
+    assert quasi_kernel_eta(3.535533905932739e299 * (1 + 1j), 7.071067811865477e299) == 0.0
 
 
 # -- sweep --------------------------------------------------------------------

@@ -87,7 +87,7 @@ def _table_with_atoms_and_tail():
     values = np.concatenate([[0.0], rng.uniform(0.05, 1.0, 199)])
     return SpectralMeasure(atoms=(Atom(0.8, 0.3), Atom(4.1, 0.2)),
                            pieces=(TablePiece(tuple(knots), tuple(values)),),
-                           tail=Tail(6.5, 0.7, 0.6), declared_infinite_mass=True)
+                           tail=Tail(6.5, 0.7, 0.6))
 
 
 _ARRAY_CASES = {

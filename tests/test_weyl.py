@@ -24,7 +24,8 @@ from slrestore.errors import (
     Unsupported,
     ValidationError,
 )
-from slrestore.measure import measure_to_json
+from slrestore.measure import Moments, measure_to_json
+from slrestore.pipeline import resolve_operator_data
 from slrestore.stieltjes import log_polar_grid
 from slrestore.weyl import (
     HalfLinePotential,
@@ -371,6 +372,12 @@ def test_operator_data_validation():
         name = next(k for k, v in bad.items() if not math.isfinite(v))
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             OperatorData(**bad)
+    # m is required: None is refused as a non-finite m is, before any arithmetic on it
+    mom = Moments(a=1.0, b=math.inf, i2=0.7, err_a=0.0, err_b=0.0, err_i2=0.0)
+    with pytest.raises(ValidationError, match="m must be finite, got None"):
+        OperatorData(theta=1.0, m=None)
+    with pytest.raises(ValidationError, match="m must be finite, got None"):
+        resolve_operator_data(mom, OperatorData(theta=None, m=None, c=0.7), None)
 
 
 def test_potential_validation():
