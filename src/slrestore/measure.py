@@ -286,89 +286,105 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
 def _refine(f, lo, hi, charts, z):
     """adaptive_gauss_legendre on 1-D arrays; points whose depth-0 nodes overfill
     _WORKSPACE split into two halves, each refined by a call of its own."""
-    width0 = hi - lo
-    # depth 0: each root's mesh is built once for the points that share its grading and
-    # filled as one (point, panel, node) block; pair i is point pt[i] on panel g[i]
-    mesh, pairs, blocks, m, n = [], [], [], 0, 0  # (root, a, b); (pt, g); (pairs, panels, z)
+    width0, nz, scale = hi - lo, z.size, np.abs(z)
+    # a (point, root) pair's key is root * nz + point: sorted keys keep panels sorted by root
+    # depth 0: each root's mesh is built once for the points that share its grading, its
+    # panels keyed by the root alone, and filled as one (point, panel, node) block; pair i
+    # is key[i] on mesh panel g[i]
+    mesh, pairs, blocks, m, n = [], [], [], 0, 0  # (root key, a, b); (key, g); (pairs, panels, z)
     for j in (width0 > 0).nonzero()[0].tolist():
         # halvings per point: the least k with u1 2**-k at or below its scale, at least
         # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
-        grade = np.zeros(z.size, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
-            np.maximum(charts[j][2](np.abs(z)) / hi[j], math.ulp(0.0)))[1])
+        grade = np.zeros(nz, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
+            np.maximum(charts[j][2](scale) / hi[j], math.ulp(0.0)))[1])
         for k in sorted(set(grade.tolist())):  # panels [0, u1 2**-k], ..., [u1/2, u1]
             at, b = (grade == k).nonzero()[0], hi[j] * 0.5 ** np.arange(k, -1, -1)
-            mesh.append((np.full(b.size, j), np.concatenate((lo[j:j + 1], b[:-1])), b))
-            pairs.append((at.repeat(b.size), np.arange(at.size * b.size) % b.size + m))
+            mesh.append((np.full(b.size, j * nz), np.concatenate((lo[j:j + 1], b[:-1])), b))
+            pairs.append(((at + j * nz).repeat(b.size), np.arange(at.size * b.size) % b.size + m))
             blocks.append((slice(n, n := n + at.size * b.size), slice(m, m := m + b.size),
                            z[at, None, None]))
     if not n:
-        return (np.zeros((z.size, lo.size)),) * 2
-    if n * _NODES.size > _WORKSPACE and z.size > 1:
+        return (np.zeros((nz, lo.size)),) * 2
+    if n * _NODES.size > _WORKSPACE and nz > 1:
         halves = [_refine(f, lo, hi, charts, half) for half in np.array_split(z, 2)]
         return tuple(np.concatenate(x) for x in zip(*halves))
-    (root, a, b), (pt, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
-    levels = []  # accepted (point, root, left end, value, error) per depth level
+    (key, a, b), (pair_key, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
+    # by key: a pair's point and its root's width; each root's first key
+    zk, w0k = z[None].repeat(lo.size, 0).ravel(), width0.repeat(nz)
+    bounds = np.arange(len(charts) + 1) * nz
+    levels = []  # (key, left end, value, error, bisected) of each level's panels
     for depth in range(_MAX_DEPTH + 1):
         # nodes t and weights (chart factor included) of the level's panels, sorted by root
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
-        t, weights = np.empty_like(u), np.tile(_WEIGHTS, (len(u), 1))
-        ends = root.searchsorted(np.arange(len(charts) + 1)).tolist()
+        t, weights = np.empty_like(u), np.empty_like(u)
+        ends = key.searchsorted(bounds).tolist()
         for (p, chart, _), i, j in zip(charts, ends, ends[1:]):
-            blk = slice(i, j)  # empty where the root has no panel
+            if i == j:  # the root has no panel in this level
+                continue
+            blk, w = slice(i, j), _WEIGHTS
             if p:  # a rule is built only for a panel from 0: lo > 0 takes any p
-                weights[blk] *= u[blk] ** p
+                w = _WEIGHTS * u[blk] ** p
                 if (at0 := a[blk] == 0.0).any():
                     nodes, jacobi = _jacobi_rule(p)
                     u[blk][at0] = half[blk][at0, None] * (1.0 + nodes)
-                    weights[blk][at0] = jacobi * half[blk][at0, None] ** p
+                    w[at0] = jacobi * half[blk][at0, None] ** p
             t[blk], factor = chart(u[blk])
-            weights[blk] *= factor
+            np.multiply(w, factor, out=weights[blk])
+        if not depth:  # one panel per pair from here on; t and weights stay by mesh panel
+            key, a, b, mid, half = pair_key, *(x[g] for x in (a, b, mid, half))
         if (work := getattr(_workspace, "array", None)) is None or work.size < n * _NODES.size:
             work = np.empty(n * _NODES.size, complex)
             if work.size <= _WORKSPACE:
                 _workspace.array = work
         s = work[:n * _NODES.size].reshape(n, _NODES.size)
-        for at, panels, zb in blocks:
-            np.subtract(t[panels].astype(complex), zb, out=s[at].reshape(len(zb), -1, _NODES.size))
+        zp = zk[key, None]
+        if depth:  # a panel each
+            blocks = [(slice(None), slice(None), zp[None])]
+        for at, panels, zb in blocks:  # real t, complex z: numpy casts t as it subtracts
+            np.subtract(t[panels], zb, out=s[at].reshape(len(zb), -1, _NODES.size))
         y = f(s)
         for at, panels, zb in blocks:
             wf = y[at].reshape(len(zb), -1, _NODES.size)
-            np.multiply(wf, weights[panels].astype(y.dtype), out=wf)
-        i_hi, i_lo = (half[g] * y[:, k].sum(axis=-1) for k in (_HI, _LO))
+            np.multiply(wf, weights[panels], out=wf)
+        i_hi, i_lo = half * np.add.reduce(y[:, _HI], -1), half * np.add.reduce(y[:, _LO], -1)
         # abs of a complex scalar; np.abs rounds otherwise
         e = np.hypot((d := i_hi - i_lo).real, d.imag)
-        split = ~(e <= (QUAD_TOL * ((b - a) / width0[root]))[g])
+        split = ~(e <= QUAD_TOL * ((b - a) / w0k[key]))
         if (open_ := split.nonzero()[0]).size:  # the round-off floor, where tol fails
             # each node's term |w f| times the relative round-off of s, eps (t + |z|) / |s|
-            r, zo = g[open_], z[pt[open_], None]
-            floor = _EPS * half[r] * (np.abs(y[open_]) * (
-                t[r] + np.abs(zo)) / np.hypot(t[r] - zo.real, zo.imag)).sum(-1)
-            split[open_] = ~(e[open_] <= floor)
-            e[open_] = np.maximum(e[open_], floor)  # a panel the floor accepts charges it
+            tr, zo, eo = t[open_ if depth else g[open_]], zp[open_], e[open_]
+            floor = _EPS * half[open_] * np.add.reduce(np.abs(y[open_]) * (
+                tr + np.abs(zo)) / np.hypot(tr - zo.real, zo.imag), -1)
+            split[open_] = ~(eo <= floor)
+            e[open_] = np.maximum(eo, floor)  # a panel the floor accepts charges it
         # depth and breadth caps accept open panels as they stand; their e still counts
         if depth == _MAX_DEPTH:
             split[...] = False
         elif 2 * np.count_nonzero(split) > _MAX_PANELS:  # the points whose next level passes it
-            split &= 2 * np.bincount(pt[split], minlength=z.size)[pt] <= _MAX_PANELS
-        n_bisect = np.count_nonzero(split)
-        levels.append((pt[~split], *(x[g[~split]] for x in (root, a)), i_hi[~split], e[~split]))
-        if not n_bisect:
+            pt = key % nz
+            split &= 2 * np.bincount(pt[split], minlength=nz)[pt] <= _MAX_PANELS
+        levels.append((key, a, i_hi, e, split))
+        if not split.any():
             break
         # each panel's halves side by side, so that panels stay sorted by root
-        r, n = g[split], 2 * n_bisect
-        pt, root, a, b = pt[split].repeat(2), root[r].repeat(2), a[r].repeat(2), b[r].repeat(2)
-        a[1::2] = b[::2] = mid[r]
-        g, blocks = np.arange(n), [(slice(None), slice(None), z[None, pt, None])]  # a panel each
-    pt, root, left, v, e = map(np.concatenate, zip(*levels))
-    order = np.lexsort((-left, root, pt))  # right to left per (point, root)
-    flat, v = pt[order] * lo.size + root[order], v[order]
-    # sums per (point, root), in index order, one by one
-    total = lambda w: np.bincount(flat, w, z.size * lo.size).reshape(z.size, lo.size)
-    value = np.stack([total(v.real), total(v.imag)], -1).view(complex)[..., 0] \
-        if np.iscomplexobj(v) else total(v)
+        key, a, b = key[split].repeat(2), a[split].repeat(2), b[split].repeat(2)
+        a[1::2] = b[::2] = mid[split]
+        n = key.size
+    key, left, v, e, split = map(np.concatenate, zip(*levels))
+    # the accepted panels (split False sorts first), right to left per key
+    order = np.lexsort((-left, key, split))[:split.size - np.count_nonzero(split)]
+    key, v, e = key[order], v[order], e[order]
+    # sums per key, in index order, one by one; a (root, point) layout, transposed
+    total = lambda w: np.bincount(key, w, lo.size * nz)
+    if np.iscomplexobj(v):
+        value = np.empty(lo.size * nz, complex)
+        value.real, value.imag = total(v.real), total(v.imag)
+    else:
+        value = total(v)
     # round-off: a few eps of each panel value, sqrt(n) eps of a sum of n
-    return value, total(e[order]) + _roundoff(total(np.abs(v)), total(None))
+    err = total(e) + _roundoff(total(np.abs(v)), total(None))
+    return value.reshape(lo.size, nz).T, err.reshape(lo.size, nz).T
 
 
 def _b_divergent(sigma: SpectralMeasure) -> bool:
@@ -413,6 +429,7 @@ def _resolvent(sigma: SpectralMeasure, zr):
     closed forms, then one quadrature call for the power-law and tail roots at the points
     off 0, whose integrand is the reciprocal of s = t - z in place."""
     inv_t = zr == 0.0  # 1/t: closed forms on power laws and the tail
+    any_inv, all_inv = bool(inv_t.any()), bool(inv_t.all())
     parts = [(f"piece {i}", piece) for i, piece in enumerate(sigma.pieces)]
     if (tail := sigma.tail) is not None:  # c t**-s on [T, inf)
         parts.append(("tail", PowerLawPiece(tail.threshold, math.inf, tail.coeff, -tail.exponent)))
@@ -433,13 +450,13 @@ def _resolvent(sigma: SpectralMeasure, zr):
                     continue
                 c, x, t0, t1 = piece.coeff, piece.exponent, piece.lo, piece.hi
                 j, pref, inv, size = None, 0.0, 0.0, 0.0
-                if inv_t.any():  # antiderivative and its terms' size; t0 = 0 only with x > 0
+                if any_inv:  # antiderivative and its terms' size; t0 = 0 only with x > 0
                     inv, size = ((c * math.log1p((t1 - t0) / t0),) * 2 if x == 0.0 else
                                  (c * (t1 ** x - t0 ** x) / x, c * (t1 ** x + t0 ** x) / abs(x)))
-                if not inv_t.all():  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
+                if not all_inv:  # c t**x dt = pref u**p du in u = sqrt(t) or sqrt(T/t)
                     if math.isinf(t1):  # t = T/u**2, with the 1/u**2 of dt in the weights
                         pref, p, u0, u1 = 2.0 * c * t0 ** (1.0 + x), -2.0 * x - 1.0, 0.0, 1.0
-                        chart = (lambda u, T=t0: (T / (u * u), 1.0 / (u * u)),
+                        chart = (lambda u, T=t0: (T / (uu := u * u), 1.0 / uu),
                                  lambda r, T=t0: np.sqrt(T / r))
                     else:  # t = u**2
                         pref, p, u0, u1 = 2.0 * c, 2.0 * x + 1.0, math.sqrt(t0), math.sqrt(t1)
@@ -447,13 +464,18 @@ def _resolvent(sigma: SpectralMeasure, zr):
                     if p and not u0:
                         _jacobi_rule(p)  # built (or out of float range) here, in its part's name
                     j, lo, hi, charts = len(lo), lo + [u0], hi + [u1], charts + [(p, *chart)]
-                sums.append((where, j, pref, inv * inv_t, _roundoff(size, 2) * inv_t))
-            roots, errs = np.zeros((zr.size, len(lo)), complex), np.zeros((zr.size, len(lo)))
-            if charts and not inv_t.all():
-                roots[~inv_t], errs[~inv_t] = adaptive_gauss_legendre(
-                    lambda s: np.divide(1.0, s, out=s), lo, hi, charts, zr[~inv_t])
+                # the closed form, 0.0 at every point if none is 1/t
+                sums.append((where, j, pref, *((inv * inv_t, _roundoff(size, 2) * inv_t)
+                                               if any_inv else (0.0, 0.0))))
+            if charts and not all_inv:  # one quadrature call, at the points off 0
+                roots, errs = adaptive_gauss_legendre(lambda s: np.divide(1.0, s, out=s), lo, hi,
+                                                      charts, zr[~inv_t] if any_inv else zr)
+                if any_inv:  # a 1/t point adds 0 to its closed form
+                    quad, shape = (roots, errs), (zr.size, len(lo))
+                    roots, errs = np.zeros(shape, complex), np.zeros(shape)
+                    roots[~inv_t], errs[~inv_t] = quad
             for where, j, pref, v, e in sums:
-                if j is not None:  # a 1/t point adds 0 to its closed form
+                if j is not None:
                     v, e = v + pref * roots[:, j], e + abs(pref) * errs[:, j]
                 value, err = value + v, err + e
                 if not np.isfinite(value + err).all():  # err >= 0: NaN and inf show in the sum

@@ -32,6 +32,11 @@ from .weyl import (
 __all__ = ["PipelineResult", "resolve_operator_data", "restoration_data", "run_restore",
            "run_verify"]
 
+#: run_verify's samples, the 5 x 4 log-polar grid, and its one pass's points: the moment
+#: points, then the samples.  Built once, at import.
+_VERIFY_GRID = tuple(log_polar_grid(n_radius=5, n_angle=4))
+_VERIFY_POINTS = (*MOMENT_POINTS, *_VERIFY_GRID)
+
 
 @dataclass(frozen=True)
 class PipelineResult:
@@ -98,11 +103,10 @@ def run_verify(sigma: SpectralMeasure, gamma: float,
     The moments and the samples are one resolvent pass (one quadrature call),
     each value bit for bit the one its own call gives.
     """
-    grid = log_polar_grid(n_radius=5, n_angle=4)
-    with resolvent_pass(sigma, [*MOMENT_POINTS, *grid]):
+    with resolvent_pass(sigma, _VERIFY_POINTS):
         result = run_restore(sigma, gamma, operator, potential)
         params = SystemParams(h=result.restored.h, mu=result.restored.mu,
                               m_fn=weyl_m_fn(WeylEvaluator(potential=potential)),
                               theta_expected=result.operator.theta)
         f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
-        return verify_realization(f, params, grid)
+        return verify_realization(f, params, _VERIFY_GRID)

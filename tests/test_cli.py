@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -158,6 +159,17 @@ def test_verify_job_passes(tmp_path):
     assert payload["pass"] is True and payload["max_residual"] < 1e-6
     assert len(payload["samples"]) == 20
     assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+def test_verify_artifact_of_the_worked_example_is_pinned(tmp_path):
+    # the gamma = 0 artifact, byte for byte: a change to the quadrature or to the verify
+    # path that moves any value, err or sample moves this digest
+    job = _write_job(tmp_path, "job.json", {"measure": PAPER_MEASURE, "gamma": 0.0,
+                                            "potential": ZERO_POTENTIAL})
+    out = tmp_path / "verify.json"
+    assert _run("verify", job, out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "dd13206498f3600da457ac9cd5e6828e3dea12d1754d10a2906ddade126aa4d1"
 
 
 # -- determinism & schema -----------------------------------------------------

@@ -956,11 +956,11 @@ _SHAPES = {
         tail=Tail(4.8, 0.2, 0.3)),
 }
 
-# float.hex of moments (a, b, i2, err_a, err_b, err_i2) and of eval_V on
-# log_polar_grid(5, 4) (real, imaginary), as the closed forms (atoms, tables, 1/t)
-# and one quadrature pass with graded origin panels compute them; every value is
-# within 5e-16 (relative) of the mpmath table and hypergeometric oracles above, and
-# each err (of eval_V's values: of integrate_weighted on the grid) covers that error
+# float.hex of moments (a, b, i2, err_a, err_b, err_i2), of eval_V on
+# log_polar_grid(5, 4) (real, imaginary) and of integrate_weighted's err on that grid,
+# as the closed forms (atoms, tables, 1/t) and one quadrature pass with graded origin
+# panels compute them; every value is within 5e-16 (relative) of the mpmath table and
+# hypergeometric oracles above, and each err covers that error
 _PINNED = {
     "paper": (
         "0x1.0000000000001p+0 inf 0x1.6a09e667f3bcep-1 "
@@ -974,7 +974,12 @@ _PINNED = {
         "0x1.c22a64f6ab1c6p-5 0x1.5a5de7ae00948p-3 0x1.ac2207b70ea9ap-4 0x1.26a320595fc12p-3 "
         "0x1.26a320595fc11p-3 0x1.ac2207b70ea9cp-4 0x1.5a5de7ae00948p-3 0x1.c22a64f6ab1c5p-5 "
         "0x1.40354555e8ba7p-7 0x1.ecbfe4a0dd541p-6 0x1.308936a125e85p-6 0x1.a3286794f8043p-6 "
-        "0x1.a3286794f8044p-6 0x1.308936a125e84p-6 0x1.ecbfe4a0dd542p-6 0x1.40354555e8ba5p-7"),
+        "0x1.a3286794f8044p-6 0x1.308936a125e84p-6 0x1.ecbfe4a0dd542p-6 0x1.40354555e8ba5p-7",
+        "0x1.092847befbcdbp-41 0x1.2b0cfe725ba22p-42 0x1.7a60bc4b2cb5ep-42 0x1.23d64d6359100p-43 "
+        "0x1.d6afaa40ee169p-42 0x1.adf2c02535c35p-44 0x1.926456d3b63eap-44 0x1.4fe7ecdd3153bp-46 "
+        "0x1.fbd2def61626ep-48 0x1.04aa53a35ae40p-46 0x1.9d7a1e5f89b21p-49 0x1.89d5aca81557ap-49 "
+        "0x1.ac7571727c67ep-43 0x1.7f7596768e285p-42 0x1.991748ebf6fe5p-49 0x1.54e88472ea770p-51 "
+        "0x1.e79776f467de6p-46 0x1.1469ee2856881p-43 0x1.3e8df6fc44b0ap-51 0x1.287b34dbb43b0p-53"),
     "power-law-and-table": (
         "0x1.1c52b3e366318p+1 inf 0x1.d4d05cd6b0416p+0 "
         "0x1.b7b84450b7fe3p-48 0x0.0p+0 0x1.0adae296758cfp-47",
@@ -987,7 +992,12 @@ _PINNED = {
         "-0x1.0a2547e57e970p-4 0x1.b3b37f0750f62p-3 0x1.5a6bd21fb3d17p-5 0x1.c96a4b7699678p-3 "
         "0x1.1de934f272a0bp-3 0x1.7200f7c059350p-3 0x1.a3e0355f940a2p-3 0x1.99474419436d5p-4 "
         "-0x1.6dc77be48d998p-9 0x1.37167796c175ap-6 0x1.61b52421bb448p-8 0x1.32ace0716f624p-6 "
-        "0x1.a468cecadba59p-7 0x1.e97e5b70013fap-7 0x1.27086e321ae48p-6 0x1.0f44511f1ec42p-7"),
+        "0x1.a468cecadba59p-7 0x1.e97e5b70013fap-7 0x1.27086e321ae48p-6 0x1.0f44511f1ec42p-7",
+        "0x1.d45d36b99ba57p-41 0x1.284ca698adce4p-40 0x1.2b6a8eb6cc2a2p-40 0x1.1eb270f59be42p-42 "
+        "0x1.dc37ba1dbd493p-38 0x1.289dbb235287cp-40 0x1.e158794d0e7a5p-43 0x1.7bd2080d63caep-45 "
+        "0x1.d9a2854ba5025p-47 0x1.2a24979abce2fp-47 0x1.f50b9826fe160p-48 0x1.d21a42fc61daep-48 "
+        "0x1.bc160fe17a4e3p-45 0x1.57ed8b4be4025p-42 0x1.3ff408e91d52bp-49 0x1.87d0dfd29d3b1p-51 "
+        "0x1.b73e9fbe5bc90p-42 0x1.0ad989a5957a6p-44 0x1.3324ce2b2bd50p-52 0x1.3d7c2a0e3956bp-54"),
     "table-positive-at-0": (
         "0x1.77bfb94ee31ecp+0 inf 0x1.841994d1960aep-1 "
         "0x1.512b389b3bd10p-48 0x0.0p+0 0x1.9f54b3b43236fp-48",
@@ -1000,7 +1010,12 @@ _PINNED = {
         "0x1.3451a19b70916p-4 0x1.09b641b645dccp-2 0x1.5657bdf2fbb57p-3 0x1.ec1b00fe5252ap-3 "
         "0x1.f6011df0f1890p-3 0x1.723e46d0d6284p-3 0x1.2da10c0b055b1p-2 0x1.895c14d7a792cp-4 "
         "0x1.03e77016af34ap-5 0x1.bb1a4d79cdb3cp-5 0x1.6fe419f424ea7p-5 0x1.6fc36c0cdd64fp-5 "
-        "0x1.c676e207a10fep-5 0x1.07d019fb1a392p-5 0x1.fea4442402625p-5 0x1.13c4371332f74p-6"),
+        "0x1.c676e207a10fep-5 0x1.07d019fb1a392p-5 0x1.fea4442402625p-5 0x1.13c4371332f74p-6",
+        "0x1.fb1b513dd9781p-47 0x1.f0af91e66f512p-47 0x1.eb23daeaccbdbp-47 0x1.e6ca719887af0p-47 "
+        "0x1.8084bf0725b1dp-47 0x1.6e6cc322e94edp-47 0x1.5fd2f63bbfe47p-47 0x1.578ca22459b55p-47 "
+        "0x1.3464d238eaa81p-47 0x1.ce88abbf64878p-48 0x1.83e4b60c2ee10p-48 0x1.5d794a6cd5e1bp-48 "
+        "0x1.0a059313e9c64p-42 0x1.5537e1dd5128ap-41 0x1.d6011c02ae21dp-49 0x1.12df9bccd766bp-50 "
+        "0x1.7aeee95c72567p-41 0x1.a0f569319954ap-43 0x1.1a76f543c498dp-50 0x1.138f895cf0ea6p-52"),
     "vanishing-power-law-and-table": (
         "0x1.2f49ba916ba72p+0 0x1.2ecc021dc8563p+1 0x1.77f9cdad7d629p-1 "
         "0x1.e214954a71238p-49 0x1.ac6ec949afc36p-48 0x1.2e95dc6d393d7p-48",
@@ -1013,7 +1028,12 @@ _PINNED = {
         "-0x1.548e760361934p-4 0x1.378d44f57e3f4p-3 0x1.205c6512aef76p-7 0x1.52f11c3e5e152p-3 "
         "0x1.611f2eb6fc3a6p-4 0x1.0f625f9861e77p-3 0x1.14327564c5d61p-3 0x1.27e80bd280d86p-4 "
         "-0x1.3d2343b28dfc4p-8 0x1.dbff496befbc6p-8 -0x1.a66d8e93945dcp-12 0x1.1b4abb7a04598p-7 "
-        "0x1.0aeada0a63a75p-8 0x1.f053c6032b0cbp-8 0x1.e1d616353ae47p-8 0x1.1fc7a5da919c4p-8"),
+        "0x1.0aeada0a63a75p-8 0x1.f053c6032b0cbp-8 0x1.e1d616353ae47p-8 0x1.1fc7a5da919c4p-8",
+        "0x1.68ea59cad637bp-43 0x1.1ba6f6874c269p-45 0x1.d0a2463dd89a0p-48 0x1.c4e8feaed606fp-48 "
+        "0x1.537188b863282p-45 0x1.e547b0f913a4ap-43 0x1.145a2a9d53818p-47 0x1.b18580cd8d63ap-48 "
+        "0x1.ba4f33a6eaa91p-39 0x1.9bd742d8c9b0fp-48 0x1.19206d9326ba9p-48 0x1.f11096b4cc841p-49 "
+        "0x1.24e8ae411d778p-42 0x1.2d2a86715aef6p-42 0x1.51689cab69312p-50 0x1.f3930d4cee13ep-52 "
+        "0x1.06c2333eb6fadp-43 0x1.49fc212f245b4p-47 0x1.542204adb4e9bp-54 0x1.ee93113f69257p-56"),
     "table-vanishing-at-0": (
         "0x1.537c729c6c69dp+0 0x1.35b535d9e7c12p+1 0x1.64afe5cfc6d85p-1 "
         "0x1.08496342a477bp-48 0x1.c03f1c0e3562ap-48 0x1.4407215e0d8c6p-48",
@@ -1026,19 +1046,26 @@ _PINNED = {
         "0x1.366dda6bb34b2p-3 0x1.d4cb7be87fb7dp-3 0x1.c062192c26cdep-3 0x1.a73dee1a5ba73p-3 "
         "0x1.1cee9083bed2dp-2 0x1.3c67ef005818ep-3 0x1.447fb781420c2p-2 0x1.4ff13c392c540p-4 "
         "0x1.1db95488b227cp-4 0x1.16adbd43813b3p-4 0x1.4fc891ff809d8p-4 0x1.bbcc1e0913cdfp-5 "
-        "0x1.76bf0a29c34bdp-4 0x1.356ca7ccd5e06p-5 0x1.8f96bf6f271eap-4 0x1.3e21aeca6721fp-6"),
+        "0x1.76bf0a29c34bdp-4 0x1.356ca7ccd5e06p-5 0x1.8f96bf6f271eap-4 0x1.3e21aeca6721fp-6",
+        "0x1.d3eda21c005ddp-48 0x1.d00deb8a0a4a6p-48 0x1.d1495ede01e46p-48 0x1.d24ef68279d06p-48 "
+        "0x1.e122c5bffaba9p-48 0x1.d25a14c7eac17p-48 0x1.c2eed0386461bp-48 0x1.bc51290d3f053p-48 "
+        "0x1.e8fbecf32dc99p-48 0x1.666884bb8608fp-48 0x1.29ef3b628bbbcp-48 0x1.0faac66c0ff25p-48 "
+        "0x1.3fa7f670accc7p-45 0x1.adf759533f5c1p-42 0x1.d942876f11698p-49 0x1.0f6aebbca6176p-50 "
+        "0x1.7b674d3dbe255p-42 0x1.6eb4c82a54683p-42 0x1.8d6805c503472p-50 0x1.b9a61aa99dda8p-52"),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED))
 def test_one_pass_is_bit_identical_to_the_per_part_calls(name, paper_measure):
     sigma = paper_measure if name == "paper" else _SHAPES[name]
-    mom_hex, v_hex = _PINNED[name]
+    mom_hex, v_hex, err_hex = _PINNED[name]
     mom = moments(sigma)
     assert [float.hex(x) for x in (mom.a, mom.b, mom.i2, mom.err_a, mom.err_b, mom.err_i2)] \
         == mom_hex.split()
     v = eval_V(StieltjesLikeFunction(sigma, 0.0), log_polar_grid(5, 4))
     assert [float.hex(x) for z in v.tolist() for x in (z.real, z.imag)] == v_hex.split()
+    _, err = integrate_weighted(sigma, log_polar_grid(5, 4))
+    assert [float.hex(x) for x in err.tolist()] == err_hex.split()
 
 
 @pytest.mark.parametrize("name", list(_PINNED))
