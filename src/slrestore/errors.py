@@ -57,7 +57,7 @@ class Unsupported(SlrestoreError):
 # restore ------------------------------------------------------------------
 
 class DegenerateImaginaryPart(ValidationError):
-    """Restoration formulas would produce Im h <= 0."""
+    """Restoration formulas would produce Im h <= 0, or an Im h below the normal float range."""
 
 
 class MissingXi(ValidationError):

@@ -100,9 +100,11 @@ def run_verify(sigma: SpectralMeasure, gamma: float,
 
     The forward model's m_inf is the potential's (a table's at ODE_TOL); the
     samples are the 5 x 4 log-polar grid, and the report passes up to VERIFY_TOL.
-    The moments and the samples are one resolvent pass (one quadrature call),
-    each value bit for bit the one its own call gives.
+    The measure is classified first, so one outside SL0 raises NotSL0 before any
+    quadrature; then the moments and the samples are one resolvent pass (one quadrature
+    call), each value bit for bit the one its own call gives.
     """
+    classify(sigma, gamma)
     with resolvent_pass(sigma, _VERIFY_POINTS):
         result = run_restore(sigma, gamma, operator, potential)
         params = SystemParams(h=result.restored.h, mu=result.restored.mu,

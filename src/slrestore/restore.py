@@ -13,6 +13,7 @@ b and mu are represented by ``math.inf``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -169,11 +170,13 @@ def _sectoriality(rank: int, alpha: float) -> Sectoriality:
 
 def _h(offset: float, numerator: float, g):
     """(offset + gamma Im h, Im h = numerator/(1 + gamma^2)) at gamma (a float or an
-    array); Im h must not underflow and Re h must not overflow (|gamma Im h| <= numerator/2)."""
+    array); Im h must be a normal float (an underflow to 0 or to a subnormal, which keeps
+    only a few bits) and Re h must not overflow (|gamma Im h| <= numerator/2)."""
     with np.errstate(all="ignore"):
         y = numerator / (1.0 + g * g)
         x = offset + g * y
-    _refuse(y > 0.0, g, DegenerateImaginaryPart, f"Im h = {numerator}/(1 + gamma^2) is not > 0")
+    _refuse(y >= sys.float_info.min, g, DegenerateImaginaryPart,
+            f"Im h = {numerator}/(1 + gamma^2) is below the normal float range")
     _refuse(np.isfinite(x), g, RestorationOverflow, "Re h is out of float range")
     return x, y
 

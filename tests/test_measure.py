@@ -1184,6 +1184,14 @@ def test_a_verify_job_fails_where_its_own_calls_fail(zero_potential):
     assert str(shared.value) == str(alone.value)
 
 
+def test_a_verify_job_outside_sl0_makes_no_quadrature_call(zero_potential, integrand_calls):
+    # finite mass (no tail): classify refuses the measure before the pass integrates
+    sigma = SpectralMeasure(pieces=(PowerLawPiece(0.0, 1.0, 1.0 / math.pi, -0.5),))
+    with pytest.raises(NotSL0):
+        run_verify(sigma, 0.0, zero_potential)
+    assert integrand_calls.passes == 0 and integrand_calls == []
+
+
 def _wrap_integrands(monkeypatch, wrap):
     """Replace the integrand of every adaptive_gauss_legendre call by wrap(f), a one-argument
     g(t), through the module global: what the benchmark's tracer does."""

@@ -159,6 +159,20 @@ def test_restore_h_errors():
         restore_h(-1.0, 0.0, theta=1.0, m=0.0)
 
 
+def test_a_subnormal_im_h_is_refused():
+    # m = 5e-324, theta = 0, b = 4: numerator 2e-323, so Im h at gamma = 2.5 would be a
+    # subnormal 5e-324 for about 2.7e-324; refused like Im h = 0, in every entry point
+    with pytest.raises(DegenerateImaginaryPart, match="below the normal float range"):
+        restore_system(4.0, 2.5, theta=0.0, m=5e-324)
+    with pytest.raises(DegenerateImaginaryPart, match=r"gamma=2\.5"):
+        sweep(4.0, 0.0, 5e-324, None, [3.0, 2.5])  # rows sorted: 2.5 first
+    with pytest.raises(DegenerateImaginaryPart):
+        restore_h(INF, 1e160, theta=0.0, m=0.0, xi=1.0)  # xi/(1 + gamma^2) ~ 1e-320
+    # the smallest normal Im h passes, and keeps its bits
+    tiny = np.nextafter(0.0, 1.0) * 2.0 ** 52  # sys.float_info.min
+    assert restore_h(INF, 0.0, theta=0.0, m=0.0, xi=tiny).imag == tiny
+
+
 def test_restore_mu_b2_gamma_minus_one():
     theta, m = 0.3, 0.2
     h = restore_h(2.0, -1.0, theta, m)
