@@ -86,6 +86,10 @@ class PoleOfV(SlrestoreError):
     """Impedance evaluated at (numerically) a pole."""
 
 
+class Unverifiable(SlrestoreError):
+    """V is so large on the samples that its float round-off alone passes VERIFY_TOL."""
+
+
 class CayleyPole(SlrestoreError):
     """Moebius map evaluated at its pole."""
 

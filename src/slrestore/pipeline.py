@@ -109,6 +109,7 @@ def run_verify(sigma: SpectralMeasure, gamma: float,
         result = run_restore(sigma, gamma, operator, potential)
         params = SystemParams(h=result.restored.h, mu=result.restored.mu,
                               m_fn=weyl_m_fn(WeylEvaluator(potential=potential)),
-                              theta_expected=result.operator.theta)
+                              theta_expected=result.operator.theta,
+                              gamma=result.restored.gamma)
         f = StieltjesLikeFunction(sigma=sigma, gamma=gamma)
         return verify_realization(f, params, _VERIFY_GRID)

@@ -271,12 +271,16 @@ def mu_locus(b: float, theta: float, m: float,
     return Hyperbola(offset=offset, numerator=numerator, zero_crossing=zero)
 
 
-def quasi_kernel_eta(h: complex, mu: float) -> Optional[float]:
+def quasi_kernel_eta(h: complex, mu: float, gamma: Optional[float] = None) -> Optional[float]:
     """Boundary parameter of the quasi-kernel: (mu Re h - |h|^2)/(mu - Re h).
 
     Returns None in the near-degenerate regime |mu - Re h| ~ 0 where the
-    quotient amplifies noise; the mu = inf limit is Re h.
+    quotient amplifies noise; the mu = inf limit is Re h.  With the free term
+    gamma of a restored system, mu - Re h = Im h / gamma and eta = Re h - gamma Im h
+    (the offset), which amplifies nothing.
     """
+    if gamma is not None and not math.isinf(mu):
+        return h.real - gamma * h.imag
     eta = float(_eta(h.real, h.imag, mu))
     return None if math.isnan(eta) else eta
 

@@ -3,16 +3,25 @@
 The realizing system is represented purely by the scalars (h, mu) and the
 Weyl function m_inf; every numerical claim about the operator model factors
 through these.  ``mu = math.inf`` selects the limit forms of the transfer
-function and impedance.  Verification passes up to VERIFY_TOL.
+function and impedance.  A restored system also gives its free term gamma, and then
+mu - Re h is read as Im h / gamma.  Verification passes up to VERIFY_TOL.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import CayleyPole, PoleOfV, PoleOfW, SideConditionViolated, ValidationError
+from .errors import (
+    CayleyPole,
+    PoleOfV,
+    PoleOfW,
+    SideConditionViolated,
+    Unverifiable,
+    ValidationError,
+)
 from .restore import quasi_kernel_eta
 from .stieltjes import StieltjesLikeFunction, eval_V
 from .weyl import WeylEvaluator, weyl_m
@@ -40,6 +49,11 @@ _VH_EPS, _VH_BIG = 1e-6, 1e8
 #: Largest forward-model or quasi-kernel residual a verification passes.
 VERIFY_TOL = 1e-6
 
+#: Round-off of V per unit |V| that a verification allows for: V_in (gamma + R) and the
+#: forward model each round by a few eps of |V|.  Where it passes VERIFY_TOL (|V| above
+#: about 2.8e8), no float evaluation can be checked to VERIFY_TOL and verify refuses.
+_V_ROUNDOFF = 16.0 * sys.float_info.epsilon
+
 _POLE_EPS = 1e-13
 
 
@@ -51,16 +65,24 @@ def weyl_m_fn(ev: WeylEvaluator) -> Callable[[complex], complex]:
 @dataclass(frozen=True)
 class SystemParams:
     """h (Im h > 0), mu and the Weyl function of the realizing system; the
-    quasi-kernel check of theta_expected is verify_realization's eta_residual."""
+    quasi-kernel check of theta_expected is verify_realization's eta_residual.
+
+    gamma, where given (a restored system's free term, 0 exactly when mu = inf), makes
+    mu - Re h = Im h / gamma: the forward model and eta read that in place of the float
+    difference of mu and Re h, which keeps only about 16 - 2 log10|gamma| digits."""
 
     h: complex
     mu: float  # math.inf allowed
     m_fn: Callable[[complex], complex]
     theta_expected: Optional[float] = None
+    gamma: Optional[float] = None
 
     def __post_init__(self):
         if not self.h.imag > 0:
             raise ValidationError(f"h={self.h} must have Im h > 0")
+        if self.gamma is not None and (self.gamma == 0.0) != math.isinf(self.mu):
+            raise ValidationError(f"gamma={self.gamma} must be 0 exactly when mu={self.mu} "
+                                  "is infinite")
 
 
 def transfer_W(p: SystemParams, lam: complex) -> complex:
@@ -73,26 +95,28 @@ def transfer_W(p: SystemParams, lam: complex) -> complex:
     second = (m + p.h.conjugate()) / den
     if math.isinf(p.mu):
         return second
-    return (p.mu - p.h) / (p.mu - p.h.conjugate()) * second
+    d = p.mu - p.h.real if p.gamma is None else p.h.imag / p.gamma  # mu - Re h
+    return complex(d, -p.h.imag) / complex(d, p.h.imag) * second
 
 
 def impedance_V(p: SystemParams, lam: complex) -> complex:
-    """Impedance (m+mu) Im h / ((mu-Re h) m + mu Re h - |h|^2); the mu = inf
-    limit is Im h / (m + Re h).  A value out of float range counts as a pole."""
+    """Impedance (m+mu) Im h / ((mu-Re h)(m+Re h) - (Im h)^2); the mu = inf limit is
+    Im h / (m + Re h).  With gamma given, mu - Re h = Im h / gamma divides out:
+    gamma (m+mu) / (m + Re h - gamma Im h).  A pole is a denominator within _POLE_EPS of
+    the sizes of its terms; a value out of float range counts as one."""
     m = complex(p.m_fn(lam))
     x, y = p.h.real, p.h.imag
     if math.isinf(p.mu):
-        den = m + x
-        if abs(den) <= _POLE_EPS * (1.0 + abs(m) + abs(x)):
-            raise PoleOfV(f"impedance pole at lambda={lam}")
-        v = y / den
+        num, den, size = y, m + x, 1.0 + abs(m) + abs(x)
+    elif p.gamma is None:
+        d = p.mu - x
+        num, den, size = (m + p.mu) * y, d * (m + x) - y * y, abs(d) * (abs(m) + abs(x)) + y * y
     else:
-        hh = x * x + y * y
-        den = (p.mu - x) * m + p.mu * x - hh
-        scale = (1.0 + abs(m)) * (1.0 + abs(p.mu) + hh)
-        if abs(den) <= _POLE_EPS * scale:
-            raise PoleOfV(f"impedance pole at lambda={lam}")
-        v = (m + p.mu) * y / den
+        gy = p.gamma * y
+        num, den, size = (m + p.mu) * p.gamma, m + (x - gy), abs(m) + abs(x) + abs(gy)
+    if abs(den) <= _POLE_EPS * size:
+        raise PoleOfV(f"impedance pole at lambda={lam}")
+    v = num / den
     if not cmath.isfinite(v):
         raise PoleOfV(f"impedance at lambda={lam} is out of float range")
     return v
@@ -198,16 +222,23 @@ class VerifyReport:
 def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
                        sample_z: Sequence[complex]) -> VerifyReport:
     """Max |V_model - V_input| over the samples (one eval_V call for all of them)
-    and the quasi-kernel residual; the report passes if both are <= VERIFY_TOL."""
+    and the quasi-kernel residual; the report passes if both are <= VERIFY_TOL.
+    Unverifiable where the round-off of V on the samples, _V_ROUNDOFF |V|, passes
+    VERIFY_TOL: no float evaluation could then meet it."""
     sample_z = [complex(z) for z in sample_z]
     if not sample_z:
         raise ValidationError("verify_realization: no sample points")
-    samples = tuple(SampleResidual(z=z, v_in=v_in, v_model=impedance_V(p, z))
-                    for z, v_in in zip(sample_z, eval_V(f, sample_z).tolist()))
+    v_in = eval_V(f, sample_z).tolist()
+    if not (size := max(map(abs, v_in))) * _V_ROUNDOFF <= VERIFY_TOL:
+        raise Unverifiable(f"|V| reaches {size:.3g} on the samples: its round-off "
+                           f"({_V_ROUNDOFF / sys.float_info.epsilon:g} eps |V|) passes "
+                           f"VERIFY_TOL = {VERIFY_TOL:g}")
+    samples = tuple(SampleResidual(z=z, v_in=v, v_model=impedance_V(p, z))
+                    for z, v in zip(sample_z, v_in))
     worst = max(s.residual for s in samples)
     eta_res = None
     if p.theta_expected is not None:
-        eta = quasi_kernel_eta(p.h, p.mu)
+        eta = quasi_kernel_eta(p.h, p.mu, p.gamma)
         if eta is not None:
             eta_res = abs(eta - p.theta_expected)
     passed = worst <= VERIFY_TOL and (eta_res is None or eta_res <= VERIFY_TOL)

@@ -1,10 +1,12 @@
 """End-to-end tests of the job-file CLI: artifacts, determinism, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
@@ -683,6 +685,39 @@ def test_fuzzed_jobs_keep_the_exit_contract(case):
             assert not any(out.exists() for out in outs)
         else:
             assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+#: The named refusals a verify of the worked example may end in: Im h below the normal
+#: float range, mu past it, |V| whose round-off passes VERIFY_TOL, moments past it.
+_VERIFY_REFUSALS = ("DegenerateImaginaryPart", "RestorationOverflow", "Unverifiable",
+                    "UnrepresentableMeasure")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+# the parent's wrong verdicts: exit 4 from |gamma| = 3000, a false PoleOfV from 1e4
+@example(1.0, math.log10(3000.0), 0.0)
+@example(-1.0, math.log10(5000.0), 0.0)
+@example(1.0, 4.0, 0.0)
+@example(-1.0, 154.0, 0.0)
+@example(1.0, 200.0, 0.0)
+@example(1.0, -300.0, 0.0)
+def test_the_worked_example_verifies_or_is_refused_by_name(sign, log_gamma, log_scale):
+    # V = gamma + c (-z)**-1/2 is realizable at every gamma and scale c: the job passes or
+    # ends in a named refusal, never in exit 4 nor in PoleOfV
+    gamma, c = sign * 10.0 ** log_gamma, 10.0 ** log_scale
+    measure = {"pieces": [dict(PAPER_MEASURE["pieces"][0], coeff=c / math.pi)],
+               "tail": dict(PAPER_MEASURE["tail"], coeff=c / math.pi)}
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr:
+        job = Path(tmp) / "job.json"
+        job.write_text(json.dumps({"measure": measure, "gamma": gamma,
+                                   "potential": ZERO_POTENTIAL}))
+        code = cli.main(["verify", "--job", str(job), "--out", str(Path(tmp) / "out"),
+                         "--quiet"])
+    if code:
+        assert code in (2, 3)
+        assert stderr.getvalue().split(":")[1].strip() in _VERIFY_REFUSALS, stderr.getvalue()
 
 
 @pytest.mark.parametrize("command, job, code, message", [

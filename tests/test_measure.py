@@ -1100,7 +1100,7 @@ def test_a_verify_job_is_one_quadrature_call(gamma, paper_measure, zero_potentia
     result = run_restore(paper_measure, gamma, None, zero_potential)
     params = SystemParams(h=result.restored.h, mu=result.restored.mu,
                           m_fn=weyl_m_fn(WeylEvaluator(potential=zero_potential)),
-                          theta_expected=result.operator.theta)
+                          theta_expected=result.operator.theta, gamma=gamma)
     alone = verify_realization(StieltjesLikeFunction(paper_measure, gamma), params,
                                log_polar_grid(5, 4))
     assert integrand_calls.passes == 3

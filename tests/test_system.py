@@ -12,6 +12,7 @@ from slrestore.errors import (
     PoleOfV,
     PoleOfW,
     SideConditionViolated,
+    Unverifiable,
     ValidationError,
 )
 from slrestore.stieltjes import StieltjesLikeFunction, log_polar_grid
@@ -24,7 +25,9 @@ from slrestore.system import (
     verify_realization,
     vh_functional,
 )
-from slrestore.restore import sectoriality_angle
+import mpmath as mp
+
+from slrestore.restore import restore_system, sectoriality_angle
 
 INF = math.inf
 
@@ -109,6 +112,47 @@ def test_impedance_herglotz(remark_params, paper_params):
 def test_impedance_pole_is_named(h, mu, m, message):
     with pytest.raises(PoleOfV, match=message):
         impedance_V(SystemParams(h=h, mu=mu, m_fn=lambda lam: m), -1.0)
+    if not math.isinf(mu):  # the same pole with gamma given: m + Re h - gamma Im h = 0
+        gamma = h.imag / (mu - h.real)
+        with pytest.raises(PoleOfV, match=message):
+            impedance_V(SystemParams(h=h, mu=mu, m_fn=lambda lam: m, gamma=gamma), -1.0)
+
+
+def test_gamma_must_match_mu():
+    # gamma = 0 exactly when mu = inf
+    with pytest.raises(ValidationError, match="gamma=0.0 must be 0 exactly"):
+        SystemParams(h=1j, mu=2.0, m_fn=_m_closed, gamma=0.0)
+    with pytest.raises(ValidationError, match="gamma=0.5 must be 0 exactly"):
+        SystemParams(h=1j, mu=INF, m_fn=_m_closed, gamma=0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.3, 2.7, 3e3, -1e5, 1e8, 1e-8, -1e-150])
+def test_impedance_with_gamma_is_the_restored_family(gamma):
+    # b = inf, q = 0: the system restored from (m, xi) at gamma has impedance
+    # gamma + xi/(m_inf + offset), offset = -m; with gamma given the forward model keeps a
+    # few eps of |V| at every gamma (from the floats mu and Re h it lost 2 log10|gamma|
+    # digits: 2.0e-6 at gamma = 3000)
+    m0, xi = 0.3, 0.7
+    r = restore_system(INF, gamma, theta=-m0, m=m0, xi=xi)
+    p = SystemParams(h=r.h, mu=r.mu, m_fn=_m_closed, gamma=gamma)
+    with mp.workdps(40):
+        for z in log_polar_grid(5, 4):
+            exact = mp.mpf(gamma) + mp.mpf(xi) / (mp.mpc(_m_closed(z)) - mp.mpf(m0))
+            assert abs(mp.mpc(impedance_V(p, z)) - exact) <= 8 * 2.0 ** -52 * abs(exact)
+            w_exact = (1 - 1j * exact) / (1 + 1j * exact)  # W = cayley_W_from_V(V)
+            assert abs(mp.mpc(transfer_W(p, z)) - w_exact) <= 1e-14 * abs(w_exact)
+
+
+def test_a_verify_past_the_float_resolution_of_v_is_refused():
+    # |V| ~ 1e9 on the samples: its round-off (16 eps |V| = 3.6e-6) passes VERIFY_TOL
+    from slrestore.measure import PowerLawPiece, SpectralMeasure, Tail
+
+    sigma = SpectralMeasure(pieces=(PowerLawPiece(0.0, 1.0, 1.0 / math.pi, -0.5),),
+                            tail=Tail(1.0, 1.0 / math.pi, 0.5))
+    r = restore_system(INF, 1e9, theta=0.0, m=0.0, xi=math.sqrt(2.0) * math.sqrt(0.5))
+    p = SystemParams(h=r.h, mu=r.mu, m_fn=_m_closed, theta_expected=0.0, gamma=1e9)
+    with pytest.raises(Unverifiable, match=r"\|V\| reaches 1e\+09 on the samples"):
+        verify_realization(StieltjesLikeFunction(sigma, 1e9), p, log_polar_grid(5, 4))
 
 
 def test_cayley_examples():
