@@ -286,7 +286,7 @@ def adaptive_gauss_legendre(f, lo, hi, charts, z):
 def _refine(f, lo, hi, charts, z):
     """adaptive_gauss_legendre on 1-D arrays; points whose depth-0 nodes overfill
     _WORKSPACE split into two halves, each refined by a call of its own."""
-    width0, nz, scale = hi - lo, z.size, np.abs(z)
+    width0, nz, zabs = hi - lo, z.size, np.abs(z)
     # a (point, root) pair's key is root * nz + point: sorted keys keep panels sorted by root
     # depth 0: each root's mesh is built once for the points that share its grading, its
     # panels keyed by the root alone, and filled as one (point, panel, node) block; pair i
@@ -296,7 +296,7 @@ def _refine(f, lo, hi, charts, z):
         # halvings per point: the least k with u1 2**-k at or below its scale, at least
         # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
         grade = np.zeros(nz, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
-            np.maximum(charts[j][2](scale) / hi[j], math.ulp(0.0)))[1])
+            np.maximum(charts[j][2](zabs) / hi[j], math.ulp(0.0)))[1])
         for k in sorted(set(grade.tolist())):  # panels [0, u1 2**-k], ..., [u1/2, u1]
             at, b = (grade == k).nonzero()[0], hi[j] * 0.5 ** np.arange(k, -1, -1)
             mesh.append((np.full(b.size, j * nz), np.concatenate((lo[j:j + 1], b[:-1])), b))

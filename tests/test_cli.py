@@ -375,7 +375,8 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch):
 
 
 def test_impedance_pole_exit_3(tmp_path, capsys):
-    # c = 1e-300 gives xi = i2/c ~ 7e299, so |h|^2 and the impedance leave the float range
+    # c = 1e-300 gives xi = i2/c ~ 7e299, so Re h ~ 3e299 and the impedance's denominator
+    # m + Re h - gamma Im h (|m| <= 32) is lost in the round-off of its terms: a pole
     job = _write_job(tmp_path, "job.json",
                      {"measure": PAPER_MEASURE, "gamma": 0.5, "potential": ZERO_POTENTIAL,
                       "operator": {"m": 0.0, "c": 1e-300}})
