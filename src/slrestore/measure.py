@@ -210,6 +210,9 @@ _MAX_PANELS = 1 << 14
 #: Depth cap: the deepest refinement level (a panel is its root's width / 2**52).
 _MAX_DEPTH = 52
 
+#: 2**-k for k = 0, 1, ... down to 0.0: the graded start's panel ends in units of u1.
+_HALVINGS = 0.5 ** np.arange(1076)
+
 #: Graded start: a root from u = 0 begins as panels down to 2**-_GRADED of its width, or to
 #: a point's scale in u where that is finer.  The worked example's near-poles reach u ~ 0.03
 #: u1 in both charts on the verify grid; from K = 2 to 9 its eval_V takes 6, 5, 4, 3, 3, 3,
@@ -289,26 +292,32 @@ def _refine(f, lo, hi, charts, z):
     width0, nz, zabs = hi - lo, z.size, np.abs(z)
     # a (point, root) pair's key is root * nz + point: sorted keys keep panels sorted by root
     # depth 0: each root's mesh is built once for the points that share its grading, its
-    # panels keyed by the root alone, and filled as one (point, panel, node) block; pair i
+    # panels in ends[j]:ends[j + 1], and filled as one (point, panel, node) block; pair i
     # is key[i] on mesh panel g[i]
-    mesh, pairs, blocks, m, n = [], [], [], 0, 0  # (root key, a, b); (key, g); (pairs, panels, z)
-    for j in (width0 > 0).nonzero()[0].tolist():
-        # halvings per point: the least k with u1 2**-k at or below its scale, at least
-        # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
-        grade = np.zeros(nz, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
-            np.maximum(charts[j][2](zabs) / hi[j], math.ulp(0.0)))[1])
-        for k in sorted(set(grade.tolist())):  # panels [0, u1 2**-k], ..., [u1/2, u1]
-            at, b = (grade == k).nonzero()[0], hi[j] * 0.5 ** np.arange(k, -1, -1)
-            mesh.append((np.full(b.size, j * nz), np.concatenate((lo[j:j + 1], b[:-1])), b))
-            pairs.append(((at + j * nz).repeat(b.size), np.arange(at.size * b.size) % b.size + m))
-            blocks.append((slice(n, n := n + at.size * b.size), slice(m, m := m + b.size),
-                           z[at, None, None]))
+    mesh, pairs, blocks, ends, n = [], [], [], [0], 0  # (a, b); (key, g); (pairs, panels, z)
+    for j, width in enumerate(width0.tolist()):
+        m = ends[-1]
+        if width > 0:
+            # halvings per point: the least k with u1 2**-k at or below its scale, at least
+            # _GRADED (frexp's exponent e has 2**(e-1) <= scale/u1 < 2**e); none off 0
+            grade = np.zeros(nz, int) if lo[j] else np.maximum(_GRADED, 1 - np.frexp(
+                np.maximum(charts[j][2](zabs) / hi[j], math.ulp(0.0)))[1])
+            for k in sorted(set(grade.tolist())):
+                # k + 1 panels [lo, u1 2**-k], [u1 2**-k, u1 2**(1-k)], ..., [u1/2, u1]
+                at, edges = (grade == k).nonzero()[0], hi[j] * _HALVINGS[k + 1::-1]
+                edges[0] = lo[j]
+                mesh.append((edges[:-1], edges[1:]))
+                pairs.append(((at + j * nz).repeat(k + 1),
+                              np.arange(at.size * (k + 1)) % (k + 1) + m))
+                blocks.append((slice(n, n := n + at.size * (k + 1)), slice(m, m := m + k + 1),
+                               z[at, None, None]))
+        ends.append(m)
     if not n:
         return (np.zeros((nz, lo.size)),) * 2
     if n * _NODES.size > _WORKSPACE and nz > 1:
         halves = [_refine(f, lo, hi, charts, half) for half in np.array_split(z, 2)]
         return tuple(np.concatenate(x) for x in zip(*halves))
-    (key, a, b), (pair_key, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
+    (a, b), (key, g) = (map(np.concatenate, zip(*x)) for x in (mesh, pairs))
     # by key: a pair's point and its root's width; each root's first key
     zk, w0k = z[None].repeat(lo.size, 0).ravel(), width0.repeat(nz)
     bounds = np.arange(len(charts) + 1) * nz
@@ -317,8 +326,9 @@ def _refine(f, lo, hi, charts, z):
         # nodes t and weights (chart factor included) of the level's panels, sorted by root
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
-        t, weights = np.empty_like(u), np.empty_like(u)
-        ends = key.searchsorted(bounds).tolist()
+        t, weights = np.empty((2, *u.shape))
+        if depth:  # depth 0 has its mesh's
+            ends = key.searchsorted(bounds).tolist()
         for (p, chart, _), i, j in zip(charts, ends, ends[1:]):
             if i == j:  # the root has no panel in this level
                 continue
@@ -332,7 +342,7 @@ def _refine(f, lo, hi, charts, z):
             t[blk], factor = chart(u[blk])
             np.multiply(w, factor, out=weights[blk])
         if not depth:  # one panel per pair from here on; t and weights stay by mesh panel
-            key, a, b, mid, half = pair_key, *(x[g] for x in (a, b, mid, half))
+            a, b, mid, half = (x[g] for x in (a, b, mid, half))
         if (work := getattr(_workspace, "array", None)) is None or work.size < n * _NODES.size:
             work = np.empty(n * _NODES.size, complex)
             if work.size <= _WORKSPACE:
@@ -368,7 +378,8 @@ def _refine(f, lo, hi, charts, z):
         if not split.any():
             break
         # each panel's halves side by side, so that panels stay sorted by root
-        key, a, b = key[split].repeat(2), a[split].repeat(2), b[split].repeat(2)
+        twice = 2 * split
+        key, a, b = key.repeat(twice), a.repeat(twice), b.repeat(twice)
         a[1::2] = b[::2] = mid[split]
         n = key.size
     key, left, v, e, split = map(np.concatenate, zip(*levels))
