@@ -327,7 +327,7 @@ def _refine(f, lo, hi, charts, z):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         u = mid[:, None] + half[:, None] * _NODES
         t, weights = np.empty((2, *u.shape))
-        if depth:  # depth 0 has its mesh's
+        if depth:  # each root's range of panels; at depth 0, of its mesh (above)
             ends = key.searchsorted(bounds).tolist()
         for (p, chart, _), i, j in zip(charts, ends, ends[1:]):
             if i == j:  # the root has no panel in this level
