@@ -185,13 +185,13 @@ def _cmd_sweep(job: JsonField) -> Iterator[bytes]:
     # classified as for restore; the tag itself has no column (its Stieltjes flag is per gamma)
     _, mom, od = restoration_data(sigma, gammas[0], _operator(job), _potential(job))
     s = sweep(mom.b, od.theta, od.m, od.xi, gammas)
-    # the angle, or the label where none exists; no eta where it is undefined
+    # the angle, or the label where none exists
     alpha = (s.alpha, [(s.sector == 1, "extremal"), (s.sector == 0, "none")])
-    eta = (s.eta_residual, [(np.isnan(s.eta_residual), "")])
     header = ["gamma", "h_re", "h_im", "mu", "alpha_rad", "accretive",
               "circle_residual", "eta_residual"]
     return _csv_artifact(header, [s.gamma, s.h_re, s.h_im, s.mu, alpha,
-                                  (s.sector > 0).view(np.int8), s.circle_residual, eta])
+                                  (s.sector > 0).view(np.int8), s.circle_residual,
+                                  s.eta_residual])
 
 
 def _cmd_verify(job: JsonField):

@@ -558,12 +558,14 @@ def integrate_weighted(sigma: SpectralMeasure, z):
     error the one its point alone gives.  Each part's error adds the round-off of its
     terms (_roundoff).  Inside a resolvent_pass on sigma whose set holds every point, the
     call reads that pass (so run_verify's moments and verify samples are one quadrature
-    call) and returns the same bits.
+    call) and returns the same bits; only a request the pass cannot serve is validated
+    point by point, and fails as it would outside.
     """
-    zr = (zs := _points(z)).ravel()
-    shared = _PASS.get()
-    at = [shared[1].get(key) for key in _bits(zr)] if shared and shared[0] is sigma else [None]
-    value, err = _resolve(sigma, zr) if None in at else (x[at] for x in shared[2:])
+    zs, shared = np.asarray(z, dtype=complex), _PASS.get()
+    at = [None]  # each point's index in the pass; None: a point it does not serve
+    if shared and shared[0] is sigma and zs.ndim < 2 and zs.size:  # the pass's points are valid
+        at = [shared[1].get(key) for key in _bits(zs.ravel())]
+    value, err = _resolve(sigma, _points(z).ravel()) if None in at else (x[at] for x in shared[2:])
     return (value, err) if zs.ndim else (complex(value[0]), float(err[0]))
 
 

@@ -195,14 +195,20 @@ def _refuse(ok, g, error, what: str) -> None:
         raise error(f"{what} at gamma={float(np.atleast_1d(g)[~ok][0])!r}")
 
 
-def _eta(x, y, mu):
-    """Quasi-kernel parameter for h = x + iy; NaN where |mu - x| ~ 0."""
-    with np.errstate(all="ignore"):
-        eta = np.divide(mu * x - (x * x + y * y), mu - x)
-        # squares past the float range (inf - inf): the same quotient, x - y (y / (mu - x))
-        eta = np.where(np.isnan(eta), x - y * np.divide(y, mu - x), eta)
-    near = np.abs(mu - x) < 1e-8 * (1.0 + np.abs(mu))
-    return np.where(np.isinf(mu), x, np.where(near, math.nan, eta))
+def _free_term(h: complex, mu: float, gamma: Optional[float]) -> float:
+    """The free term of the system (h, mu).  A given gamma is checked: 0 exactly when
+    mu = inf.  Otherwise gamma = Im h / (mu - Re h), which is 0 for mu = inf; a mu equal to
+    Re h, or one that puts gamma out of float range, has no finite gamma."""
+    if gamma is not None:
+        if (gamma == 0.0) != math.isinf(mu):
+            raise ValidationError(f"gamma={gamma} must be 0 exactly when mu={mu} "
+                                  "is infinite")
+        return gamma
+    d = mu - h.real
+    gamma = h.imag / d if d else math.inf
+    if not math.isfinite(gamma):
+        raise ValidationError(f"mu={mu} and h={h}: no finite gamma = Im h / (mu - Re h)")
+    return gamma
 
 
 def _row(b: float, theta: float, m: float, xi: Optional[float], g):
@@ -271,18 +277,13 @@ def mu_locus(b: float, theta: float, m: float,
     return Hyperbola(offset=offset, numerator=numerator, zero_crossing=zero)
 
 
-def quasi_kernel_eta(h: complex, mu: float, gamma: Optional[float] = None) -> Optional[float]:
-    """Boundary parameter of the quasi-kernel: (mu Re h - |h|^2)/(mu - Re h).
+def quasi_kernel_eta(h: complex, mu: float, gamma: Optional[float] = None) -> float:
+    """Boundary parameter of the quasi-kernel: (mu Re h - |h|^2)/(mu - Re h), which with
+    mu - Re h = Im h / gamma is Re h - gamma Im h (the offset), amplifying nothing.
 
-    Returns None in the near-degenerate regime |mu - Re h| ~ 0 where the
-    quotient amplifies noise; the mu = inf limit is Re h.  With the free term
-    gamma of a restored system, mu - Re h = Im h / gamma and eta = Re h - gamma Im h
-    (the offset), which amplifies nothing.
-    """
-    if gamma is not None and not math.isinf(mu):
-        return h.real - gamma * h.imag
-    eta = float(_eta(h.real, h.imag, mu))
-    return None if math.isnan(eta) else eta
+    gamma is the system's free term; where it is not given it is derived from (h, mu)
+    (Re h for mu = inf), and a mu equal to Re h raises ValidationError."""
+    return h.real - _free_term(h, mu, gamma) * h.imag
 
 
 def sweep(b: float, theta: float, m: float, xi: Optional[float],
@@ -297,7 +298,7 @@ def sweep(b: float, theta: float, m: float, xi: Optional[float],
     with np.errstate(all="ignore"):  # a residual past the float range reads inf
         circle_res = np.abs((x - offset) ** 2 + (y - r) ** 2 - r ** 2)
         circle_res[np.isnan(circle_res)] = math.inf  # squares that overflow: inf - inf
-        eta_res = np.abs(_eta(x, y, mu) - offset)
+        eta_res = np.abs(x - g * y - offset)
     return Sweep(g, x, y, mu, rank, alpha, circle_res, eta_res)
 
 

@@ -1,10 +1,10 @@
 """Forward model: transfer function, impedance, Cayley maps, verification.
 
-The realizing system is represented purely by the scalars (h, mu) and the
-Weyl function m_inf; every numerical claim about the operator model factors
-through these.  ``mu = math.inf`` selects the limit forms of the transfer
-function and impedance.  A restored system also gives its free term gamma, and then
-mu - Re h is read as Im h / gamma.  Verification passes up to VERIFY_TOL.
+The realizing system is represented purely by the scalars (h, mu), its free term gamma
+and the Weyl function m_inf.  With mu - Re h read as Im h / gamma, every numerical claim
+about the operator model is one formula in gamma (gamma = 0 is mu = inf), which keeps the
+digits that the float difference of mu and Re h loses at large |gamma|.  Verification
+passes up to VERIFY_TOL.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import (
     Unverifiable,
     ValidationError,
 )
-from .restore import quasi_kernel_eta
+from .restore import _free_term, quasi_kernel_eta
 from .stieltjes import StieltjesLikeFunction, eval_V
 from .weyl import WeylEvaluator, weyl_m
 
@@ -64,59 +64,47 @@ def weyl_m_fn(ev: WeylEvaluator) -> Callable[[complex], complex]:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """h (Im h > 0), mu and the Weyl function of the realizing system; the
-    quasi-kernel check of theta_expected is verify_realization's eta_residual.
+    """h (finite, Im h > 0), mu, the free term gamma and the Weyl function of the realizing
+    system; the quasi-kernel check of theta_expected is verify_realization's eta_residual.
 
-    gamma, where given (a restored system's free term, 0 exactly when mu = inf), makes
-    mu - Re h = Im h / gamma: the forward model and eta read that in place of the float
+    gamma is settled once, on construction: a given one (a restored system's) must be 0
+    exactly when mu = inf; otherwise it is Im h / (mu - Re h), 0 for mu = inf, and a mu
+    equal to Re h raises ValidationError.  The forward model reads gamma, not the float
     difference of mu and Re h, which keeps only about 16 - 2 log10|gamma| digits."""
 
     h: complex
     mu: float  # math.inf allowed
     m_fn: Callable[[complex], complex]
     theta_expected: Optional[float] = None
-    gamma: Optional[float] = None
+    gamma: Optional[float] = None  # a float after construction
 
     def __post_init__(self):
-        if not self.h.imag > 0:
-            raise ValidationError(f"h={self.h} must have Im h > 0")
-        if self.gamma is not None and (self.gamma == 0.0) != math.isinf(self.mu):
-            raise ValidationError(f"gamma={self.gamma} must be 0 exactly when mu={self.mu} "
-                                  "is infinite")
+        if not (self.h.imag > 0 and cmath.isfinite(self.h)):
+            raise ValidationError(f"h={self.h} must be finite with Im h > 0")
+        object.__setattr__(self, "gamma", _free_term(self.h, self.mu, self.gamma))
 
 
 def transfer_W(p: SystemParams, lam: complex) -> complex:
-    """Transfer function (mu-h)/(mu-conj h) * (m+conj h)/(m+h); first factor
-    degenerates to 1 for mu = inf."""
+    """Transfer function (mu-h)/(mu-conj h) * (m+conj h)/(m+h), whose first factor is
+    (1 - i gamma)/(1 + i gamma) with mu - Re h = Im h / gamma."""
     m = complex(p.m_fn(lam))
     den = m + p.h
     if abs(den) <= _POLE_EPS * (1.0 + abs(m) + abs(p.h)):
         raise PoleOfW(f"m_inf(lambda) + h vanishes at lambda={lam}")
-    second = (m + p.h.conjugate()) / den
-    if math.isinf(p.mu):
-        return second
-    d = p.mu - p.h.real if p.gamma is None else p.h.imag / p.gamma  # mu - Re h
-    return complex(d, -p.h.imag) / complex(d, p.h.imag) * second
+    return complex(1.0, -p.gamma) / complex(1.0, p.gamma) * ((m + p.h.conjugate()) / den)
 
 
 def impedance_V(p: SystemParams, lam: complex) -> complex:
-    """Impedance (m+mu) Im h / ((mu-Re h)(m+Re h) - (Im h)^2); the mu = inf limit is
-    Im h / (m + Re h).  With gamma given, mu - Re h = Im h / gamma divides out:
-    gamma (m+mu) / (m + Re h - gamma Im h).  A pole is a denominator within _POLE_EPS of
-    the sizes of its terms; a value out of float range counts as one."""
+    """Impedance gamma + N/(m + offset), N = Im h (1 + gamma^2) and offset = Re h - gamma Im h
+    (the quasi-kernel eta): the Moebius form of (m+mu) Im h / ((mu-Re h)(m+Re h) - (Im h)^2)
+    with mu - Re h = Im h / gamma.  A pole is an |m + offset| within _POLE_EPS of
+    |m| + |Re h| + |gamma Im h|; a value out of float range counts as one."""
     m = complex(p.m_fn(lam))
-    x, y = p.h.real, p.h.imag
-    if math.isinf(p.mu):
-        num, den, size = y, m + x, 1.0 + abs(m) + abs(x)
-    elif p.gamma is None:
-        d = p.mu - x
-        num, den, size = (m + p.mu) * y, d * (m + x) - y * y, abs(d) * (abs(m) + abs(x)) + y * y
-    else:
-        gy = p.gamma * y
-        num, den, size = (m + p.mu) * p.gamma, m + (x - gy), abs(m) + abs(x) + abs(gy)
-    if abs(den) <= _POLE_EPS * size:
+    x, y, gy = p.h.real, p.h.imag, p.gamma * p.h.imag
+    den = m + (x - gy)
+    if abs(den) <= _POLE_EPS * (abs(m) + abs(x) + abs(gy)):
         raise PoleOfV(f"impedance pole at lambda={lam}")
-    v = num / den
+    v = p.gamma + y * (1.0 + p.gamma * p.gamma) / den  # N to an ulp: Im h = N/(1 + gamma^2)
     if not cmath.isfinite(v):
         raise PoleOfV(f"impedance at lambda={lam} is out of float range")
     return v
@@ -238,9 +226,7 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
     worst = max(s.residual for s in samples)
     eta_res = None
     if p.theta_expected is not None:
-        eta = quasi_kernel_eta(p.h, p.mu, p.gamma)
-        if eta is not None:
-            eta_res = abs(eta - p.theta_expected)
+        eta_res = abs(quasi_kernel_eta(p.h, p.mu, p.gamma) - p.theta_expected)
     passed = worst <= VERIFY_TOL and (eta_res is None or eta_res <= VERIFY_TOL)
     return VerifyReport(max_residual=worst, eta_residual=eta_res,
                         samples=samples, passed=passed)

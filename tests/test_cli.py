@@ -215,7 +215,7 @@ _CHUNK = cli.CSV_CHUNK_ROWS
 @pytest.mark.parametrize("gamma_range, shows", [
     ([0.0, 0.0, 1], [",inf,extremal,1,"]),  # gamma = 0: mu = inf
     ([-1.0, -0.0, _CHUNK - 1], [",none,0,", "\n-0.0,"]),  # non-accretive, then -0.0
-    ([1.0, 1e4, _CHUNK], [",1,0.0,\n"]),  # sectorial; at large gamma eta is nan
+    ([1.0, 1e4, _CHUNK], [",1,0.0,0.0\n"]),  # sectorial; eta is a number at every gamma
     ([-2.0, 2.0, _CHUNK + 1], [",none,0,", ",inf,extremal,", ",1,"]),  # all three kinds
 ], ids=["1-row", "chunk-1", "chunk", "chunk+1"])
 def test_sweep_csv_equals_a_row_by_row_formatter(tmp_path, monkeypatch, gamma_range, shows):
@@ -227,7 +227,7 @@ def test_sweep_csv_equals_a_row_by_row_formatter(tmp_path, monkeypatch, gamma_ra
     s = swept[0]
     rows = [[r.gamma, r.h.real, r.h.imag, r.mu,
              _LABELS.get(r.sectoriality.kind, r.sectoriality.alpha), int(r.sectoriality.accretive),
-             c, "" if math.isnan(e) else e]
+             c, e]
             for r, c, e in zip(s, s.circle_residual.tolist(), s.eta_residual.tolist())]
     assert len(rows) == gamma_range[2]
     text = out.read_bytes()

@@ -1107,22 +1107,36 @@ def test_a_verify_job_is_one_quadrature_call(gamma, paper_measure, zero_potentia
     assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
 
 
-def test_a_pass_serves_only_its_measure_object_and_points(paper_measure, integrand_calls):
+def test_a_pass_serves_only_its_measure_object_and_points(paper_measure, integrand_calls,
+                                                          monkeypatch):
     grid = np.array(log_polar_grid(5, 4))
     alone = [integrate_weighted(paper_measure, z)
              for z in (measure_module.MOMENT_POINTS, grid, grid[3], complex(-1.0, -0.0))]
     copy = SpectralMeasure(**vars(paper_measure))  # equal, not the same object
+
+    def failure(z):
+        with pytest.raises(ValidationError) as info:
+            integrate_weighted(paper_measure, z)
+        return type(info.value), str(info.value)
+
+    bad = (math.nan, 2.0, np.append(grid, math.nan))  # a NaN, a point on the support
+    refused = [failure(z) for z in bad]
+    assert [kind for kind, _ in refused] == [ValidationError, PoleOnSupport, ValidationError]
+    checked = []  # the requests validated point by point
+    points = measure_module._points
+    monkeypatch.setattr(measure_module, "_points", lambda z: checked.append(z) or points(z))
     integrand_calls.passes = 0
     with resolvent_pass(paper_measure, _VERIFY_POINTS):
-        assert integrand_calls.passes == 1  # integrated on entry
+        assert integrand_calls.passes == 1 and len(checked) == 1  # integrated on entry
         served = [integrate_weighted(paper_measure, measure_module.MOMENT_POINTS),
                   integrate_weighted(paper_measure, grid), integrate_weighted(paper_measure, grid[3])]
-        assert integrand_calls.passes == 1
+        assert integrand_calls.passes == 1 and len(checked) == 1
         # a point off the set (imaginary part -0.0, not 0.0), another object, a wider array
         conj = integrate_weighted(paper_measure, complex(-1.0, -0.0))
         integrate_weighted(copy, grid)
         integrate_weighted(paper_measure, np.append(grid, -2.0))
         assert integrand_calls.passes == 4
+        assert [failure(z) for z in bad] == refused  # as outside the pass
     for (v, e), (v0, e0) in zip(served + [conj], alone):
         assert np.asarray(v).tobytes() == np.asarray(v0).tobytes()
         assert np.asarray(e).tobytes() == np.asarray(e0).tobytes()

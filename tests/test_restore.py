@@ -240,7 +240,13 @@ def test_mu_at_centered_gamma_matches_closed_form():
 
 def test_quasi_kernel_limit_and_degenerate():
     assert quasi_kernel_eta(0.4 + 0.8j, INF) == 0.4
-    assert quasi_kernel_eta(1.0 + 1.0j, 1.0 + 1e-12) is None
+    # near mu = Re h, gamma = Im h / (mu - Re h) is large and eta = Re h - gamma Im h a number
+    mu = 1.0 + 1e-12
+    assert quasi_kernel_eta(1.0 + 1.0j, mu) == 1.0 - 1.0 / (mu - 1.0)
+    with pytest.raises(ValidationError, match="no finite gamma"):
+        quasi_kernel_eta(1.0 + 1.0j, 1.0)  # mu = Re h
+    with pytest.raises(ValidationError, match="no finite gamma"):
+        quasi_kernel_eta(1e10j, 1e-300)  # Im h / (mu - Re h) overflows
     # mu Re h and |h|**2 overflow (inf - inf); eta = Re h - Im h (Im h / (mu - Re h)) = 0
     assert quasi_kernel_eta(3.535533905932739e299 * (1 + 1j), 7.071067811865477e299) == 0.0
 
@@ -254,6 +260,19 @@ def test_sweep_remark_fixture():
     assert rows.circle_residual.max() < 1e-12
     assert rows.eta_residual.max() < 1e-10
     assert all(a.gamma < b.gamma for a, b in zip(rows, list(rows)[1:]))
+
+
+def test_sweep_eta_is_the_offset_to_round_off():
+    # b = inf, m = 0: eta = Re h - gamma Im h equals the offset 0.  Formed from the floats
+    # mu and Re h it read up to 0.0108 (gamma = -7584, xi = 9.9e9), and blank where
+    # mu - Re h was near 0
+    eps = np.finfo(float).eps
+    gammas = np.logspace(-2.0, 6.0, 400)
+    gammas = np.concatenate([-gammas, gammas, [-7584.0]])
+    for xi in [*np.logspace(-3.0, 10.0, 53), 9.9e9]:
+        rows = sweep(INF, theta=0.0, m=0.0, xi=xi, gammas=gammas)
+        bound = 8 * eps * (np.abs(rows.h_re) + np.abs(rows.gamma * rows.h_im))
+        assert (rows.eta_residual <= bound).all(), xi
 
 
 def test_sweep_contains_extremal_row():
@@ -345,9 +364,7 @@ def test_prop_quasi_kernel_identity(p):
     b, theta, m, gamma = p
     h = restore_h(b, gamma, theta, m)
     mu = restore_mu(h, gamma)
-    eta = quasi_kernel_eta(h, mu)
-    if eta is not None:
-        assert abs(eta - theta) < 1e-10 * (1.0 + abs(mu))
+    assert abs(quasi_kernel_eta(h, mu) - theta) < 1e-10 * (1.0 + abs(mu))
 
 
 @given(finite_params)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slrestore.errors import (
     CayleyPole,
@@ -24,10 +25,14 @@ from slrestore.system import (
     transfer_W,
     verify_realization,
     vh_functional,
+    weyl_m_fn,
 )
 import mpmath as mp
 
+from slrestore.measure import Moments
+from slrestore.pipeline import resolve_operator_data
 from slrestore.restore import restore_system, sectoriality_angle
+from slrestore.weyl import HalfLinePotential, OperatorData, WeylEvaluator
 
 INF = math.inf
 
@@ -62,6 +67,8 @@ def test_real_h_is_rejected():
         SystemParams(h=1.0 + 0.0j, mu=INF, m_fn=_m_closed)
     with pytest.raises(ValidationError, match="Im h > 0"):
         SystemParams(h=complex(0.5, math.nan), mu=INF, m_fn=_m_closed)
+    with pytest.raises(ValidationError, match="must be finite"):  # else gamma = 1/(3 - inf) = -0
+        SystemParams(h=complex(INF, 1.0), mu=3.0, m_fn=_m_closed)
 
 
 def test_transfer_unimodular_for_real_m():
@@ -106,24 +113,25 @@ def test_impedance_herglotz(remark_params, paper_params):
 
 @pytest.mark.parametrize("h, mu, m, message", [
     (1.5 + 1j, INF, -1.5, "impedance pole"),  # m + Re h = 0
-    (1.0 + 1j, 3.0, -0.5, "impedance pole"),  # (mu - Re h) m + mu Re h - |h|^2 = 0
+    (1.0 + 1j, 3.0, -0.5, "impedance pole"),  # gamma = 1/2: m + Re h - gamma Im h = 0
     (1e300j, INF, 1e-10, "out of float range"),  # Im h / m = 1e310
 ], ids=["mu-inf-pole", "mu-finite-pole", "overflow"])
 def test_impedance_pole_is_named(h, mu, m, message):
     with pytest.raises(PoleOfV, match=message):
         impedance_V(SystemParams(h=h, mu=mu, m_fn=lambda lam: m), -1.0)
-    if not math.isinf(mu):  # the same pole with gamma given: m + Re h - gamma Im h = 0
-        gamma = h.imag / (mu - h.real)
-        with pytest.raises(PoleOfV, match=message):
-            impedance_V(SystemParams(h=h, mu=mu, m_fn=lambda lam: m, gamma=gamma), -1.0)
 
 
 def test_gamma_must_match_mu():
-    # gamma = 0 exactly when mu = inf
+    # a given gamma is 0 exactly when mu = inf; otherwise gamma = Im h / (mu - Re h)
     with pytest.raises(ValidationError, match="gamma=0.0 must be 0 exactly"):
         SystemParams(h=1j, mu=2.0, m_fn=_m_closed, gamma=0.0)
     with pytest.raises(ValidationError, match="gamma=0.5 must be 0 exactly"):
         SystemParams(h=1j, mu=INF, m_fn=_m_closed, gamma=0.5)
+    assert SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed).gamma == 0.5
+    assert SystemParams(h=0.4 + 0.8j, mu=INF, m_fn=_m_closed).gamma == 0.0
+    assert SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed, gamma=0.25).gamma == 0.25
+    with pytest.raises(ValidationError, match="no finite gamma"):  # mu = Re h
+        SystemParams(h=0.4 + 0.8j, mu=0.4, m_fn=_m_closed)
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.3, 2.7, 3e3, -1e5, 1e8, 1e-8, -1e-150])
@@ -141,6 +149,29 @@ def test_impedance_with_gamma_is_the_restored_family(gamma):
             assert abs(mp.mpc(impedance_V(p, z)) - exact) <= 8 * 2.0 ** -52 * abs(exact)
             w_exact = (1 - 1j * exact) / (1 + 1j * exact)  # W = cayley_W_from_V(V)
             assert abs(mp.mpc(transfer_W(p, z)) - w_exact) <= 1e-14 * abs(w_exact)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+def test_finite_b_round_trip_is_the_moebius_map(theta, b, gamma):
+    # q = 0 at finite b: sigma with R(z) = N/(theta - i sqrt z), N = theta b, has the closed
+    # moments a = R(-1), b = R(0) and i2 = Im R(i); the system restored from them has
+    # impedance gamma + N/(theta - i sqrt z).  Round-off scale: |gamma| + |R|, and R's
+    # sensitivity to the offset Re h - gamma Im h, formed from floats of size |Re h|, |gamma Im h|
+    n = theta * b
+    a, i2 = n / (theta + 1.0), (n / (theta - 1j * cmath.exp(0.25j * math.pi))).imag
+    potential = HalfLinePotential()
+    od = resolve_operator_data(Moments(a, b, i2, 0.0, 0.0, 0.0), OperatorData(theta, 0.0),
+                               potential)
+    r = restore_system(b, gamma, od.theta, od.m, od.xi)
+    p = SystemParams(h=r.h, mu=r.mu, m_fn=weyl_m_fn(WeylEvaluator(potential)), gamma=gamma)
+    spread = abs(r.h.real) + abs(gamma * r.h.imag)
+    with mp.workdps(40):
+        for z in log_polar_grid(5, 4):
+            den = mp.mpf(theta) - 1j * mp.sqrt(mp.mpc(z))
+            rz = mp.mpf(theta) * mp.mpf(b) / den
+            scale = abs(gamma) + abs(rz) * (1 + spread / abs(den))
+            assert abs(mp.mpc(impedance_V(p, z)) - (gamma + rz)) <= 8 * 2.0 ** -52 * scale
 
 
 def test_a_verify_past_the_float_resolution_of_v_is_refused():
