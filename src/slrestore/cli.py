@@ -229,12 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="slrestore",
         description="Classify Stieltjes-like functions and restore the "
                     "boundary parameters of their realizing systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--job", required=True, help="path to the job JSON file")
-        p.add_argument("--out", default=None, help="override the output path")
-        p.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    parser.add_argument("command", choices=COMMANDS, help="what to do with the job")
+    parser.add_argument("--job", required=True, help="path to the job JSON file")
+    parser.add_argument("--out", default=None, help="override the output path")
+    parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 
 

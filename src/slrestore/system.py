@@ -29,7 +29,6 @@ from .weyl import WeylEvaluator, weyl_m
 __all__ = [
     "SystemParams",
     "VhReport",
-    "SampleResidual",
     "VerifyReport",
     "weyl_m_fn",
     "transfer_W",
@@ -89,7 +88,7 @@ def transfer_W(p: SystemParams, lam: complex) -> complex:
     (1 - i gamma)/(1 + i gamma) with mu - Re h = Im h / gamma."""
     m = complex(p.m_fn(lam))
     den = m + p.h
-    if abs(den) <= _POLE_EPS * (1.0 + abs(m) + abs(p.h)):
+    if abs(den) <= _POLE_EPS * (abs(m) + abs(p.h)):
         raise PoleOfW(f"m_inf(lambda) + h vanishes at lambda={lam}")
     return complex(1.0, -p.gamma) / complex(1.0, p.gamma) * ((m + p.h.conjugate()) / den)
 
@@ -176,21 +175,10 @@ def vh_functional(a: float, b: float, gamma: float,
 
 
 @dataclass(frozen=True)
-class SampleResidual:
-    z: complex
-    v_in: complex
-    v_model: complex
-
-    @property
-    def residual(self) -> float:
-        return abs(self.v_model - self.v_in)
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     max_residual: float
     eta_residual: Optional[float]
-    samples: tuple
+    samples: tuple  # (z, V_in, V_model) per sample
     passed: bool
 
     def to_json(self) -> dict:
@@ -198,10 +186,9 @@ class VerifyReport:
             "max_residual": self.max_residual,
             "eta_residual": self.eta_residual,
             "samples": [
-                {"z_re": s.z.real, "z_im": s.z.imag,
-                 "V_in": [s.v_in.real, s.v_in.imag],
-                 "V_model": [s.v_model.real, s.v_model.imag]}
-                for s in self.samples
+                {"z_re": z.real, "z_im": z.imag,
+                 "V_in": [v.real, v.imag], "V_model": [vm.real, vm.imag]}
+                for z, v, vm in self.samples
             ],
             "pass": self.passed,
         }
@@ -221,9 +208,8 @@ def verify_realization(f: StieltjesLikeFunction, p: SystemParams,
         raise Unverifiable(f"|V| reaches {size:.3g} on the samples: its round-off "
                            f"({_V_ROUNDOFF / sys.float_info.epsilon:g} eps |V|) passes "
                            f"VERIFY_TOL = {VERIFY_TOL:g}")
-    samples = tuple(SampleResidual(z=z, v_in=v, v_model=impedance_V(p, z))
-                    for z, v in zip(sample_z, v_in))
-    worst = max(s.residual for s in samples)
+    samples = tuple((z, v, impedance_V(p, z)) for z, v in zip(sample_z, v_in))
+    worst = max(abs(vm - v) for _, v, vm in samples)
     eta_res = None
     if p.theta_expected is not None:
         eta_res = abs(quasi_kernel_eta(p.h, p.mu, p.gamma) - p.theta_expected)

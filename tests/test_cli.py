@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -317,6 +318,28 @@ def test_an_infinite_mass_field_changes_no_byte(tmp_path):
 
 
 # -- exit codes ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [[], ["nope", "--job", "job.json"], ["verify"]],
+                         ids=["no-arguments", "unknown-command", "no-job"])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: slrestore")
+
+
+def test_one_grammar_for_every_command(capsys):
+    parse = cli._build_parser().parse_args
+    assert vars(parse(["verify", "--job", "J", "--out", "O", "--quiet"])) == {
+        "command": "verify", "job": "J", "out": "O", "quiet": True}
+    for command in cli.COMMANDS:
+        assert vars(parse([command, "--job", "J"])) == {
+            "command": command, "job": "J", "out": None, "quiet": False}
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().out
+
 
 def test_malformed_json_exit_2_no_output(tmp_path):
     job = tmp_path / "bad.json"
@@ -672,6 +695,16 @@ def _measure_job(command, **measure):
 # a table propagation of about 1e150 chunks
 @example(("weyl", {"potential": {"a": 0.0, "q": dict(TABLE_POTENTIAL["q"], q_inf=1e300)},
                    "lambdas": [[-1.0, 0.5]]}))
+# restorations for the (h, mu) oracle: mu cancelling near the hyperbola's zero crossing,
+# a subnormal Re h, a large |gamma| at finite b and Im h small beside Re h = 1e300
+@example(("restore", {"measure": PAPER_MEASURE, "gamma": 1e-8,
+                      "operator": {"theta": -1e8, "m": 1e8, "xi": 1.0}}))
+@example(("restore", {"measure": PAPER_MEASURE, "gamma": 1e-305,
+                      "operator": {"m": 0.0, "xi": 1e-5}}))
+@example(("restore", {"measure": FINITE_B_MEASURE, "gamma": -2000.0,
+                      "operator": {"theta": 0.5, "m": 0.0}}))
+@example(("restore", {"measure": FINITE_B_MEASURE, "gamma": 1e150,
+                      "operator": {"theta": 1e300, "m": -1e300 + 1e285}}))
 def test_fuzzed_jobs_keep_the_exit_contract(case):
     command, job = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -686,6 +719,32 @@ def test_fuzzed_jobs_keep_the_exit_contract(case):
             assert not any(out.exists() for out in outs)
         else:
             assert outs[0].read_bytes() == outs[1].read_bytes()
+        if command == "restore" and codes[0] == 0:
+            _check_restored_pair(json.loads(outs[0].read_text()))
+
+
+def _check_restored_pair(artifact):
+    """h and mu of a restore artifact against the pair formulas in 50 digits, at the
+    artifact's own b, theta, m, xi and gamma: (offset, N) = (theta, (theta + m) b), or
+    (-m, xi) for b = inf; Im h = N/(1 + gamma^2), Re h = offset + gamma Im h and
+    mu = Re h + Im h/gamma.  Each float lies within 8 eps of the sizes of its terms (and
+    a few subnormal steps of the exact value, where gamma Im h underflows)."""
+    eps, tiny = mpmath.mpf(sys.float_info.epsilon), 4 * mpmath.mpf(2) ** -1074
+    with mpmath.workdps(50):
+        b, theta, m, gamma = (mpmath.mpf(float(artifact[key]))  # b may be "inf"
+                              for key in ("b", "theta", "m", "gamma"))
+        offset, numerator = (-m, mpmath.mpf(artifact["xi"])) if mpmath.isinf(b) else (
+            theta, (theta + m) * b)
+        y = numerator / (1 + gamma ** 2)
+        x = offset + gamma * y
+        assert abs(artifact["h_im"] - y) <= 8 * eps * y + tiny, artifact
+        terms = abs(offset) + abs(gamma * y)
+        assert abs(artifact["h_re"] - x) <= 8 * eps * terms + tiny, artifact
+        if gamma == 0:
+            assert artifact["mu"] == "inf", artifact
+        else:
+            mu, terms = x + y / gamma, terms + abs(y / gamma)
+            assert abs(artifact["mu"] - mu) <= 8 * eps * terms + tiny, artifact
 
 
 #: The named refusals a verify of the worked example may end in: Im h below the normal

@@ -832,6 +832,13 @@ def test_validation_rejects_bad_inputs():
             SpectralMeasure(pieces=(TablePiece(knots, values),))
     with pytest.raises(ValidationError):
         SpectralMeasure(tail=Tail(1.0, 1.0, -0.5))
+    with pytest.raises(ValidationError, match=r"atom location -1\.0 < 0"):
+        SpectralMeasure(atoms=(Atom(-1.0, 1.0),))
+    with pytest.raises(ValidationError, match="piece 0: unknown piece type"):
+        SpectralMeasure(pieces=(Atom(0.5, 1.0),))
+    for knots in ((0.0, 2.0, 1.0), (0.0, 1.0, 1.0, 2.0)):  # ends in order, inside not
+        with pytest.raises(ValidationError, match="piece 0: knots not strictly increasing"):
+            SpectralMeasure(pieces=(TablePiece(knots, (1.0,) * len(knots)),))
     nan, inf = math.nan, math.inf
     for bad, field in [(dict(atoms=(Atom(nan, 1.0),)), "atom 0: t"),
                        (dict(atoms=(Atom(1.0, 1.0), Atom(2.0, inf))), "atom 1: w"),

@@ -77,6 +77,18 @@ def test_transfer_unimodular_for_real_m():
         assert abs(abs(transfer_W(p, lam)) - 1.0) < 1e-12
 
 
+def test_a_small_system_is_no_false_pole_of_w():
+    # m + h = s (1 + i) is small only against 1: against |m| + |h|, the sizes of its own
+    # terms, it is no pole, and W = (m + conj h)/(m + h) = -i (V = 1) at every scale s
+    for s in (1e-14, 1e-200, 1.0, 1e200):
+        p = SystemParams(h=complex(0.0, s), mu=INF, m_fn=lambda lam, s=s: complex(s))
+        w = transfer_W(p, -1.0)
+        assert abs(w - (-1j)) <= 1e-15
+        assert abs(cayley_V_from_W(w) - impedance_V(p, -1.0)) <= 1e-15
+    with pytest.raises(PoleOfW):  # m + h = 0 stays a pole
+        transfer_W(SystemParams(h=1e-14j, mu=INF, m_fn=lambda lam: -1e-14j), -1.0)
+
+
 def test_eta_consistency_enforced(paper_measure, remark_params):
     # the gamma = 0.5 restoration of the paper measure: the forward model matches V,
     # and eta = (mu Re h - |h|^2)/(mu - Re h) = 0, so only theta = 1 fails
@@ -330,3 +342,9 @@ def test_verify_report_json_shape(paper_measure, paper_params):
     assert set(payload) == {"max_residual", "eta_residual", "samples", "pass"}
     assert payload["samples"][0]["z_im"] == 1.0
     assert len(payload["samples"][0]["V_in"]) == 2
+    # each sample is a (z, V_in, V_model) triple, written as it is
+    (z, v_in, v_model), = report.samples
+    assert payload["samples"] == [{"z_re": 0.0, "z_im": 1.0, "V_in": [v_in.real, v_in.imag],
+                                   "V_model": [v_model.real, v_model.imag]}]
+    assert z == 1j and v_model == impedance_V(paper_params, 1j)
+    assert report.max_residual == abs(v_model - v_in)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import types
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from slrestore import cli
+from slrestore import cli, weyl
 from slrestore.errors import (
     NegativeQInf,
     NodeAtEndpoint,
@@ -118,6 +119,19 @@ def test_cauchy_out_of_float_range_raises(x_end):
         warnings.simplefilter("error")
         with pytest.raises(OdeStepFailure):
             solve_cauchy(p, -1.0, x_end)
+
+
+def test_a_solution_out_of_float_range_is_refused(monkeypatch):
+    # DOP853 accepts no step to a state that is not finite (the step's error estimate is
+    # then NaN), so a real propagation fails with its step-size message first; a stub that
+    # reports success with an overflowed state stands in for a solver that would accept one
+    def overflowed(rhs, span, y, **kwargs):
+        return types.SimpleNamespace(success=True, message="",
+                                     y=np.array([[y[0], math.inf], [y[1], 1.0]]))
+
+    monkeypatch.setattr(weyl, "solve_ivp", overflowed)
+    with pytest.raises(OdeStepFailure, match="solution out of float range at x=8.0"):
+        solve_cauchy(HalfLinePotential(kind="constant", value=1e4), -1.0, 8.0)
 
 
 def test_wronskian_conservation(zero_potential, const1_evaluator):
@@ -383,6 +397,10 @@ def test_operator_data_validation():
 def test_potential_validation():
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="mystery")
+    with pytest.raises(ValidationError, match="zero potential must have q_inf = 0"):
+        HalfLinePotential(kind="zero", q_inf=1.0)
+    with pytest.raises(ValidationError, match="table grid/values size mismatch"):
+        HalfLinePotential(kind="table", grid=(0.0, 1.0), values=(1.0, 0.0, 2.0), cutoff=1.0)
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="constant", value=math.nan)
     with pytest.raises(ValidationError):
