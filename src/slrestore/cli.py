@@ -115,10 +115,8 @@ def _potential(job: JsonField, needed_by: str = "") -> Optional[HalfLinePotentia
     q = node["q"]
     kind = q["kind"].value
     a = node.get("a", 0.0).number()
-    if kind == "zero":
-        return HalfLinePotential(a=a, kind="zero")
-    if kind == "constant":
-        return HalfLinePotential(a=a, kind="constant", value=q["value"].number())
+    if kind in ("zero", "constant"):  # q = q_inf everywhere; "zero" spells the constant 0
+        return HalfLinePotential(a=a, q_inf=q["value"].number() if kind == "constant" else 0.0)
     if kind == "table":
         return HalfLinePotential(
             a=a, kind="table", grid=q["grid"].numbers(), values=q["values"].numbers(),

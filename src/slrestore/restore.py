@@ -197,12 +197,16 @@ def _refuse(ok, g, error, what: str) -> None:
 
 def _free_term(h: complex, mu: float, gamma: Optional[float]) -> float:
     """The free term of the system (h, mu).  A given gamma is checked: 0 exactly when
-    mu = inf.  Otherwise gamma = Im h / (mu - Re h), which is 0 for mu = inf; a mu equal to
-    Re h, or one that puts gamma out of float range, has no finite gamma."""
-    if gamma is not None:
-        if (gamma == 0.0) != math.isinf(mu):
-            raise ValidationError(f"gamma={gamma} must be 0 exactly when mu={mu} "
-                                  "is infinite")
+    mu = inf, and else gamma (mu - Re h) = Im h to 4 ulp of |gamma| (|mu| + |Re h|) + Im h.
+    Otherwise gamma = Im h / (mu - Re h), which is 0 for mu = inf; a mu equal to Re h, or
+    one that puts gamma out of float range, has no finite gamma."""
+    if gamma is not None:  # the check over s = 4 max(1, |gamma|), where nothing overflows
+        g, y = gamma / (s := 4.0 * max(1.0, abs(gamma))), h.imag / s
+        gm, gx = g * mu, g * h.real
+        if (gamma == 0.0) != math.isinf(mu) or g and not (
+                abs(gm - gx - y) <= 4 * math.ulp(abs(gm) + abs(gx) + y)):
+            raise ValidationError(f"gamma={gamma} must be 0 exactly when mu={mu} is infinite, "
+                                  f"and else Im h / (mu - Re h) to 4 ulp, for h={h}")
         return gamma
     d = mu - h.real
     gamma = h.imag / d if d else math.inf

@@ -7,13 +7,13 @@ m_inf(lambda) = -y'(a)/y(a) for any decaying solution y.
 
 Every representable potential equals q_inf exactly beyond its cutoff, so
 the decaying solution there is e^{ik(x - cutoff)} with k = sqrt(lambda -
-q_inf), Im k > 0.  For zero and constant q this gives m_inf = -ik in closed
-form.  For a tabulated q the solution starts at the cutoff from (1, ik) and
+q_inf), Im k > 0.  For a constant q this gives m_inf = -ik in closed form.
+For a tabulated q the solution starts at the cutoff from (1, ik) and
 is integrated back over [a, cutoff] only: backward is its stable direction.
 The boundary limit m_inf(-0) is one such propagation at lambda = 0.  These
 propagations and solve_cauchy share one helper, the only call of scipy's
-solve_ivp (DOP853, imported on first call, so m_inf of zero and constant q
-loads no scipy); its q is the table's linear interpolation up to and
+solve_ivp (DOP853, imported on first call, so m_inf of a constant q loads
+no scipy); its q is the table's linear interpolation up to and
 including the cutoff and q_inf beyond.  ODE_TOL is the one relative
 tolerance.
 """
@@ -56,26 +56,23 @@ THETA_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class HalfLinePotential:
-    """Real potential q on [a, +inf): zero, constant, or tabulated up to a cutoff."""
+    """Real potential q on [a, +inf): the constant q_inf, or a table with q_inf past its cutoff."""
 
     a: float = 0.0
-    kind: str = "zero"  # "zero" | "constant" | "table"
-    value: float = 0.0  # constant value (kind="constant")
+    kind: str = "constant"  # "constant" | "table"
     grid: tuple = ()  # table abscissae, strictly increasing from a
     values: tuple = ()  # table ordinates
     cutoff: float = 0.0  # q == q_inf beyond this point (kind="table")
-    q_inf: float = 0.0  # asymptotic value
+    q_inf: float = 0.0  # the constant, or the table's value beyond its cutoff
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "table"):
+        if self.kind not in ("constant", "table"):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        nums = (self.a, self.value, self.cutoff, self.q_inf, *self.grid, *self.values)
+        nums = (self.a, self.cutoff, self.q_inf, *self.grid, *self.values)
         if not all(map(math.isfinite, nums)):
             raise ValidationError("potential: every number must be finite")
-        if self.kind == "zero" and self.q_inf != 0.0:
-            raise ValidationError("zero potential must have q_inf = 0")
-        if self.kind == "constant":
-            object.__setattr__(self, "q_inf", float(self.value))
+        if self.kind == "constant" and (self.grid or self.values or self.cutoff):
+            raise ValidationError("constant potential: grid, values and cutoff are table fields")
         if self.kind == "table":
             grid = np.asarray(self.grid, dtype=float)
             if grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] != self.a:
@@ -119,7 +116,7 @@ class OperatorData:
 @dataclass(frozen=True)
 class WeylEvaluator:
     """lambda -> m_inf(lambda) for one potential, as weyl_m evaluates it: the closed
-    form -i sqrt(lambda - q_inf) for zero and constant q, else _table_m at ODE_TOL."""
+    form -i sqrt(lambda - q_inf) for a constant q, else _table_m at ODE_TOL."""
 
     potential: HalfLinePotential
 
@@ -146,7 +143,7 @@ def _propagate(p: HalfLinePotential, lam, y, x0: float, x1: float):
     """(y, y') at x1 of -y'' + q y = lambda y from (y, y') at x0: DOP853 at rtol ODE_TOL.
 
     q is the table's np.interp up to and including the cutoff and q_inf beyond
-    it (everywhere for zero and constant q).  A failed step or a y out of float
+    it (everywhere for a constant q).  A failed step or a y out of float
     range raises OdeStepFailure.
     """
     grid, values = np.asarray(p.grid, dtype=float), np.asarray(p.values, dtype=float)
@@ -269,7 +266,7 @@ def weyl_m_at_minus_zero(ev: WeylEvaluator) -> float:
 
 
 def boundary_trace_constant(potential: HalfLinePotential) -> float:
-    """Boundary-trace constant c; closed form known only for q = 0 (zero, or constant 0).
+    """Boundary-trace constant c; closed form known only for q = 0 (the constant 0).
 
     Translation invariant in the endpoint a, hence a is ignored.
     """

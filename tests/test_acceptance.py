@@ -115,7 +115,7 @@ def test_criterion_5_weyl_oracle(zero_evaluator):
         if v == 0.0:
             ev = zero_evaluator
         else:
-            ev = WeylEvaluator(potential=HalfLinePotential(kind="constant", value=v))
+            ev = WeylEvaluator(potential=HalfLinePotential(q_inf=v))
         for lam in grid:
             oracle = _m_closed(lam, v)
             ok = ok and abs(weyl_m(ev, lam) - oracle) / abs(oracle) < 1e-6

@@ -22,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from slrestore import cli, weyl
 from slrestore.errors import OdeStepFailure
-from slrestore.measure import measure_from_json
+from slrestore.measure import JsonField, measure_from_json
+from slrestore.weyl import HalfLinePotential
 
 PAPER_MEASURE = {
     "pieces": [{"lo": 0.0, "hi": 1.0, "kind": "power_law",
@@ -162,6 +163,16 @@ def test_verify_job_passes(tmp_path):
     assert payload["pass"] is True and payload["max_residual"] < 1e-6
     assert len(payload["samples"]) == 20
     assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+def test_json_zero_and_constant_potentials_are_one_type():
+    # both JSON spellings of q = 0 read as the library's default potential, the constant 0
+    # (the zero_potential fixture, whose m_inf the weyl tests check)
+    spellings = [{"kind": "zero"}, {"kind": "constant", "value": 0}]
+    read = [cli._potential(JsonField({"potential": {"a": 0.0, "q": q}})) for q in spellings]
+    assert read[0] == read[1] == HalfLinePotential(a=0.0)
+    assert cli._potential(JsonField({"potential": {"a": 2.0, "q": {
+        "kind": "constant", "value": 1.5}}})) == HalfLinePotential(a=2.0, q_inf=1.5)
 
 
 def test_verify_artifact_of_the_worked_example_is_pinned(tmp_path):
@@ -651,7 +662,7 @@ VALID_JOBS = [
     ("weyl", {"potential": TABLE_POTENTIAL, "lambdas": [[-1.0, 0.5]]}),
 ]
 EDGE_VALUES = [0, 1, -1, 400, -400, 2000, -2000, 1e300, -1e300, 1e-300, 10**30,
-               "x", None, [], {}, True]
+               -0.0, 5e-324, 1e-310, 1e154, 1e160, 1.7e308, "x", None, [], {}, True]
 
 
 def _paths(obj, prefix=()):
@@ -705,6 +716,16 @@ def _measure_job(command, **measure):
                       "operator": {"theta": 0.5, "m": 0.0}}))
 @example(("restore", {"measure": FINITE_B_MEASURE, "gamma": 1e150,
                       "operator": {"theta": 1e300, "m": -1e300 + 1e285}}))
+# the class at its edges: exponent 0 from lo = -0.0, a table from 0 whose first value is
+# the smallest subnormal or 0, an exponent of 1e-300 (b = 1e300); gamma = -0.0 is Stieltjes
+@example(("classify", {"measure": dict(PAPER_MEASURE, pieces=[
+    {"lo": -0.0, "hi": 1.0, "coeff": 1.0, "exponent": 0}]), "gamma": -0.0}))
+@example(("classify", {"measure": dict(PAPER_MEASURE, pieces=[
+    {"kind": "table", "knots": [0.0, 1.0], "values": [5e-324, 1.0]}]), "gamma": -5e-324}))
+@example(("classify", {"measure": dict(PAPER_MEASURE, pieces=[
+    {"kind": "table", "knots": [0.0, 1.0], "values": [0.0, 1.0]}]), "gamma": 1e-310}))
+@example(("classify", {"measure": dict(PAPER_MEASURE, pieces=[
+    {"lo": 0.0, "hi": 1.0, "coeff": 1.0, "exponent": 1e-300}]), "gamma": 0.0}))
 def test_fuzzed_jobs_keep_the_exit_contract(case):
     command, job = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -719,8 +740,33 @@ def test_fuzzed_jobs_keep_the_exit_contract(case):
             assert not any(out.exists() for out in outs)
         else:
             assert outs[0].read_bytes() == outs[1].read_bytes()
-        if command == "restore" and codes[0] == 0:
-            _check_restored_pair(json.loads(outs[0].read_text()))
+        if codes[0] == 0:
+            artifact = _parsed_artifact(outs[0].read_text(), command)
+            if command in ("classify", "restore"):
+                _check_class(job, artifact)
+            if command == "restore":
+                _check_restored_pair(artifact)
+
+
+def _parsed_artifact(text: str, command: str):
+    """The parsed artifact (the rows of a CSV); a NaN, in JSON or in a cell, or an empty
+    CSV cell fails."""
+    if command not in ("sweep", "weyl"):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+    rows = list(csv.reader(io.StringIO(text)))
+    assert all(cell and cell != "nan" for row in rows for cell in row), text
+    return rows
+
+
+def _check_class(job, artifact):
+    """The class from the job's own schema: SL0K (b = inf) exactly when a piece from 0 is
+    a power law of exponent <= 0 or a table whose first value is > 0."""
+    b_inf = any(p["knots"][0] == 0 and p["values"][0] > 0 if p.get("kind") == "table" else
+                p["lo"] == 0 and (-0.5 if p.get("kind") == "inverse_sqrt" else p["exponent"]) <= 0
+                for p in job["measure"].get("pieces") or [])
+    assert artifact["class"] == ("SL0K" if b_inf else "SL01K"), (job, artifact)
+    assert artifact["stieltjes"] is (job["gamma"] >= 0), (job, artifact)
+    assert (artifact["b"] == "inf") is b_inf, (job, artifact)
 
 
 def _check_restored_pair(artifact):

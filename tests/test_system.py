@@ -134,14 +134,22 @@ def test_impedance_pole_is_named(h, mu, m, message):
 
 
 def test_gamma_must_match_mu():
-    # a given gamma is 0 exactly when mu = inf; otherwise gamma = Im h / (mu - Re h)
+    # a given gamma is 0 exactly when mu = inf, and else Im h / (mu - Re h) to a few eps
     with pytest.raises(ValidationError, match="gamma=0.0 must be 0 exactly"):
         SystemParams(h=1j, mu=2.0, m_fn=_m_closed, gamma=0.0)
     with pytest.raises(ValidationError, match="gamma=0.5 must be 0 exactly"):
         SystemParams(h=1j, mu=INF, m_fn=_m_closed, gamma=0.5)
     assert SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed).gamma == 0.5
     assert SystemParams(h=0.4 + 0.8j, mu=INF, m_fn=_m_closed).gamma == 0.0
-    assert SystemParams(h=0.4 + 0.8j, mu=2.0, m_fn=_m_closed, gamma=0.25).gamma == 0.25
+    for h, mu, gamma in ((0.4 + 0.8j, 2.0, 0.25), (1j, 5.0, 2.0)):  # (h, mu) give 0.5, 0.2
+        with pytest.raises(ValidationError, match=f"gamma={gamma} must be 0 exactly when"):
+            SystemParams(h=h, mu=mu, m_fn=_m_closed, gamma=gamma)
+    # restored systems keep their own gamma at every scale, with no product overflowing
+    for b, gamma, theta, m, xi in ((INF, 1e20, 1e300, -1e300, 1.0), (INF, -1e-300, 0.0, 0.0, 1.0),
+                                   (3.0, 1e150, 1e300, -1e300 + 1e285, None),
+                                   (1e-300, -7.5, 1e300, -0.5, None)):
+        r = restore_system(b, gamma, theta, m, xi)
+        assert SystemParams(h=r.h, mu=r.mu, m_fn=_m_closed, gamma=gamma).gamma == gamma
     with pytest.raises(ValidationError, match="no finite gamma"):  # mu = Re h
         SystemParams(h=0.4 + 0.8j, mu=0.4, m_fn=_m_closed)
 

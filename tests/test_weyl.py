@@ -48,12 +48,12 @@ def _m_closed(lam: complex, v: float = 0.0) -> complex:
 
 @pytest.fixture(scope="module")
 def const1_evaluator():
-    return WeylEvaluator(potential=HalfLinePotential(kind="constant", value=1.0))
+    return WeylEvaluator(potential=HalfLinePotential(q_inf=1.0))
 
 
 @pytest.fixture(scope="module")
 def const4_evaluator():
-    return WeylEvaluator(potential=HalfLinePotential(kind="constant", value=4.0))
+    return WeylEvaluator(potential=HalfLinePotential(q_inf=4.0))
 
 
 # -- Cauchy problems ----------------------------------------------------------
@@ -76,7 +76,7 @@ def test_cauchy_sin_cos_oracle(zero_potential):
 
 
 def test_cauchy_shift_invariance():
-    p = HalfLinePotential(kind="constant", value=2.0)
+    p = HalfLinePotential(q_inf=2.0)
     sol = solve_cauchy(p, 2.0, 1.0)  # l - q cancels: same as q=0, lambda=0
     assert abs(sol.phi1 - 1.0) < 1e-8
     assert abs(sol.phi2 + 1.0) < 1e-8
@@ -114,7 +114,7 @@ def test_cauchy_on_a_table_oracle(lam, x_end):
 def test_cauchy_out_of_float_range_raises(x_end):
     # solutions grow like e^{sqrt(2) x}: at x = 300 they are finite but the
     # Wronskian's products overflow (a NaN drift), at x = 600 they overflow
-    p = HalfLinePotential(kind="constant", value=1.0)
+    p = HalfLinePotential(q_inf=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OdeStepFailure):
@@ -131,7 +131,7 @@ def test_a_solution_out_of_float_range_is_refused(monkeypatch):
 
     monkeypatch.setattr(weyl, "solve_ivp", overflowed)
     with pytest.raises(OdeStepFailure, match="solution out of float range at x=8.0"):
-        solve_cauchy(HalfLinePotential(kind="constant", value=1e4), -1.0, 8.0)
+        solve_cauchy(HalfLinePotential(q_inf=1e4), -1.0, 8.0)
 
 
 def test_wronskian_conservation(zero_potential, const1_evaluator):
@@ -179,7 +179,7 @@ def test_m_rejects_points_without_decay(zero_evaluator):
 def test_m_rejects_lambda_minus_q_inf_out_of_float_range(q_inf, lam):
     # lambda - q_inf = -inf has the root inf*i, which passed for a decaying one (m = NaN);
     # inf + 1e308i read as having no decaying solution
-    ev = WeylEvaluator(potential=HalfLinePotential(kind="constant", value=q_inf))
+    ev = WeylEvaluator(potential=HalfLinePotential(q_inf=q_inf))
     with pytest.raises(ValidationError, match="out of float range"):
         weyl_m(ev, lam)
 
@@ -322,7 +322,7 @@ def test_verify_job_on_a_table_airy_oracle(tmp_path, paper_measure):
 
 
 def test_m_minus_zero_negative_q_inf():
-    for p in (HalfLinePotential(kind="constant", value=-1.0),
+    for p in (HalfLinePotential(q_inf=-1.0),
               _ramp_potential(1.5, 0.5, -0.25)):
         with pytest.raises(NegativeQInf, match="q_inf=.* < 0"):
             weyl_m_at_minus_zero(WeylEvaluator(potential=p))
@@ -397,12 +397,15 @@ def test_operator_data_validation():
 def test_potential_validation():
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="mystery")
-    with pytest.raises(ValidationError, match="zero potential must have q_inf = 0"):
-        HalfLinePotential(kind="zero", q_inf=1.0)
+    with pytest.raises(ValidationError, match="unknown potential kind 'zero'"):
+        HalfLinePotential(kind="zero")  # the zero potential is the constant 0
+    for fields in ({"grid": (0.0, 1.0)}, {"values": (1.0, 0.0)}, {"cutoff": 1.0}):
+        with pytest.raises(ValidationError, match="constant potential: grid, values and cutoff"):
+            HalfLinePotential(q_inf=2.0, **fields)  # refused, not dropped
     with pytest.raises(ValidationError, match="table grid/values size mismatch"):
         HalfLinePotential(kind="table", grid=(0.0, 1.0), values=(1.0, 0.0, 2.0), cutoff=1.0)
     with pytest.raises(ValidationError):
-        HalfLinePotential(kind="constant", value=math.nan)
+        HalfLinePotential(q_inf=math.nan)
     with pytest.raises(ValidationError):
         HalfLinePotential(kind="table", grid=(0.0, 1.0), values=(math.inf, 0.0),
                           cutoff=1.0)
